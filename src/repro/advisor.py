@@ -992,45 +992,31 @@ class Advisor:
 
         Used to evaluate hand-designed schemas (the paper's "normalized"
         and "expert" baselines): no enumeration or optimization happens,
-        the cheapest plan per statement over exactly ``indexes`` is
-        chosen.  Raises :class:`~repro.exceptions.PlanningError` when the
+        :meth:`OptimizationProblem.price` chooses the cheapest plan per
+        statement over exactly ``indexes``.  Raises :class:`~repro.exceptions.PlanningError` when the
         schema cannot answer the workload.
         """
         planner = QueryPlanner(self.model, indexes,
                                max_plans=self.max_plans)
         update_planner = UpdatePlanner(self.model, planner)
         query_plans = {}
-        total = 0.0
         for query in workload.queries:
-            plans = planner.plans_for(query)
+            plans = query_plans[query] = planner.plans_for(query)
             for plan in plans:
                 self.cost_model.cost_plan(plan)
-            chosen = min(plans, key=lambda plan: plan.cost)
-            query_plans[query] = chosen
-            total += workload.weight(query) * chosen.cost
         update_plans = {}
         for update in workload.updates:
-            plans = update_planner.plans_for(update,
-                                             require=require_updates)
-            chosen_plans = []
+            plans = update_plans[update] = update_planner.plans_for(
+                update, require=require_updates)
             for update_plan in plans:
                 self.cost_model.cost_update_plan(update_plan)
-                chosen_support = []
-                for support_plans in \
-                        update_plan.support_plans_by_query.values():
-                    chosen_support.append(
-                        min(support_plans, key=lambda plan: plan.cost))
-                chosen_plans.append(
-                    UpdatePlan(update, update_plan.index, chosen_support,
-                               update_plan.steps))
-                total += workload.weight(update) * (
-                    update_plan.update_cost
-                    + sum(plan.cost for plan in chosen_support))
-            update_plans[update] = chosen_plans
         weights = {statement.label: weight
                    for statement, weight in workload.weighted_statements}
-        recommendation = SchemaRecommendation(indexes, query_plans,
-                                              update_plans, weights, total)
+        problem = OptimizationProblem(query_plans, update_plans, weights)
+        priced = problem.price(index.key for index in indexes)
+        recommendation = SchemaRecommendation(
+            indexes, priced.query_plans, priced.update_plans, weights,
+            priced.cost)
         # a fixed schema has no enumeration provenance or solver ledger,
         # but explain() can still annotate plan steps with cost terms
         recommendation.explain_data = ExplainData(

@@ -27,7 +27,6 @@ from repro import telemetry
 from repro.exceptions import OptimizationError
 from repro.explain import solver_ledger
 from repro.optimizer.results import SchemaRecommendation
-from repro.planner.plans import UpdatePlan
 
 
 def _same_plan_structure(previous, problem):
@@ -55,7 +54,177 @@ def _same_plan_structure(previous, problem):
             and matches(previous.update_plans, problem.update_plans))
 
 
-class _Program:
+class SelectionProgram:
+    """Rows, columns and the solver call shared by the selection BIPs.
+
+    The first ``binaries`` columns are the integral column-family
+    selection variables; :meth:`_add_block` appends one statement
+    block after them.  :class:`_Program` lays out one block for a whole
+    problem, :class:`~repro.windows.bip.WindowedProgram` one per window.
+    Rows and columns are emitted in a fixed order, since HiGHS resolves
+    cost ties by it.
+    """
+
+    def __init__(self, columns, binaries):
+        self.columns = columns
+        self.binaries = binaries
+        self.costs = [0.0] * columns
+        #: (query, plan, column) for workload query plans
+        self.plan_columns = []
+        #: (update_plan, support query, plan, column)
+        self.support_columns = []
+        self._entries = []  # (row, column, value)
+        self._lower = []
+        self._upper = []
+        #: lazily materialized solver inputs, reused across solves
+        self._base_constraint = None
+        self._entry_arrays = None
+        self._integrality = None
+        self._unit_bounds = None
+
+    def _add_row(self, lower, upper, terms=()):
+        """Append ``lower <= row <= upper``, starting with ``terms``
+        (``(column, coefficient)`` pairs); returns the row index."""
+        row = len(self._lower)
+        self._lower.append(lower)
+        self._upper.append(upper)
+        self._entries.extend((row, column, value)
+                             for column, value in terms)
+        return row
+
+    def _new_column(self, cost):
+        self.costs.append(cost)
+        column = self.columns
+        self.columns += 1
+        return column
+
+    def _add_block(self, query_plans, update_plans, weight_of, selection):
+        """Lay out one statement block over ``selection`` columns.
+
+        Each query gets a choose-one row over its plan columns.  Each
+        update plan charges its maintenance cost to the selection column
+        of the column family it maintains, and each of its support
+        queries gets a gate row: one support plan iff that column family
+        is selected.  ``weight_of`` maps a statement to its weight and
+        ``selection`` a column-family key to its selection column.
+        """
+        for query, plans in query_plans.items():
+            weight = weight_of(query)
+            choose_one = self._add_row(1.0, 1.0)
+            links = {}
+            for plan in plans:
+                column = self._new_column(weight * plan.cost)
+                self.plan_columns.append((query, plan, column))
+                self._entries.append((choose_one, column, 1.0))
+                self._link_plan(column, plan, links, selection)
+        for update, plans_by_index in update_plans.items():
+            weight = weight_of(update)
+            for update_plan in plans_by_index:
+                selected = selection[update_plan.index.key]
+                self.costs[selected] += weight * update_plan.update_cost
+                grouped = update_plan.support_plans_by_query
+                for support, plans in grouped.items():
+                    gate = self._add_row(0.0, 0.0, [(selected, -1.0)])
+                    links = {}
+                    for plan in plans:
+                        column = self._new_column(weight * plan.cost)
+                        self.support_columns.append(
+                            (update_plan, support, plan, column))
+                        self._entries.append((gate, column, 1.0))
+                        self._link_plan(column, plan, links, selection)
+
+    def _link_plan(self, column, plan, links, selection):
+        """Plan usable only when every column family it touches exists.
+
+        Links are aggregated per (statement, column family): since each
+        statement selects exactly one plan, ``sum of plans using j <= d_j``
+        is valid and gives a tighter LP relaxation than per-plan rows.
+        """
+        for index in plan.indexes:
+            row = links.get(index.key)
+            if row is None:
+                row = self._add_row(-np.inf, 0.0,
+                                    [(selection[index.key], -1.0)])
+                links[index.key] = row
+            self._entries.append((row, column, 1.0))
+
+    def _matrix(self, extra_entries=(), extra_bounds=()):
+        if self._entry_arrays is None:
+            self._entry_arrays = (
+                np.asarray([e[0] for e in self._entries]),
+                np.asarray([e[1] for e in self._entries]),
+                np.asarray([e[2] for e in self._entries], dtype=float),
+            )
+        rows, columns, values = self._entry_arrays
+        if not extra_entries and not extra_bounds:
+            if self._base_constraint is None:
+                matrix = csr_matrix(
+                    (values, (rows, columns)),
+                    shape=(len(self._lower), self.columns))
+                self._base_constraint = LinearConstraint(
+                    matrix, np.asarray(self._lower, dtype=float),
+                    np.asarray(self._upper, dtype=float))
+            return self._base_constraint
+        rows = np.concatenate([rows, [e[0] for e in extra_entries]])
+        columns = np.concatenate([columns,
+                                  [e[1] for e in extra_entries]])
+        values = np.concatenate([values, [e[2] for e in extra_entries]])
+        lower = list(self._lower) + [b[0] for b in extra_bounds]
+        upper = list(self._upper) + [b[1] for b in extra_bounds]
+        matrix = csr_matrix((values, (rows, columns)),
+                            shape=(len(lower), self.columns))
+        return LinearConstraint(matrix, np.asarray(lower),
+                                np.asarray(upper))
+
+    def _solve(self, objective, constraints, options=None, bounds=None,
+               integrality=None):
+        # Only the column-family selection variables need integrality:
+        # for any 0/1 selection, every plan whose column families are
+        # all selected is feasible on its own (the aggregated links
+        # allow x_p = 1), so a linear objective over the plan variables
+        # attains its optimum at a pure plan — fractional plan mixes
+        # can never beat the cheapest feasible plan.  Declaring the
+        # plan variables continuous cuts the binaries from thousands to
+        # the number of candidates.  ``integrality`` overrides (the LP
+        # gate passes all-zeros for the relaxation).
+        if integrality is None:
+            if self._integrality is None:
+                self._integrality = np.zeros(self.columns)
+                self._integrality[:self.binaries] = 1
+            integrality = self._integrality
+        if bounds is None:
+            if self._unit_bounds is None:
+                self._unit_bounds = Bounds(0, 1)
+            bounds = self._unit_bounds
+        result = milp(
+            c=np.asarray(objective),
+            constraints=constraints,
+            integrality=integrality,
+            bounds=bounds,
+            options=options or {},
+        )
+        if result.status == 1 and result.x is not None:
+            # iteration or time limit: the incumbent is feasible but
+            # possibly short of the requested gap — keep it, and say so
+            active = telemetry.current()
+            if active.enabled:
+                active.count("bip.time_limited")
+        elif not result.success:
+            raise OptimizationError(
+                f"BIP solve failed: {result.message}")
+        return result
+
+    def _cost_cut(self, bound):
+        """The base constraints plus ``cost @ x <= bound`` as one row."""
+        row = len(self._lower)
+        cut = [(row, column, value)
+               for column, value in enumerate(self.costs)
+               if value != 0.0]
+        return self._matrix(extra_entries=cut,
+                            extra_bounds=[(-np.inf, bound)])
+
+
+class _Program(SelectionProgram):
     """A fully materialized BIP instance, ready to optimize.
 
     The constraint structure depends only on the plan spaces, never on
@@ -70,25 +239,12 @@ class _Program:
         self.indexes = problem.indexes
         self.index_column = {index.key: column
                              for column, index in enumerate(self.indexes)}
-        self.columns = len(self.indexes)
-        self.costs = [0.0] * self.columns
-        #: (query, plan, column) for workload query plans
-        self.plan_columns = []
-        #: (update_plan, support query, plan, column)
-        self.support_columns = []
-        self._entries = []  # (row, column, value)
-        self._lower = []
-        self._upper = []
+        super().__init__(len(self.indexes), len(self.indexes))
         #: rows/entries belonging to the weight- and space-independent
         #: constraint structure (everything but the space row); lets a
         #: later program over the same plan spaces adopt the structure
         self._structure_rows = 0
         self._structure_entries = 0
-        #: lazily materialized solver inputs, reused across solves
-        self._base_constraint = None
-        self._entry_arrays = None
-        self._integrality = None
-        self._unit_bounds = None
         #: lazily built index arrays for vectorized reweighting
         self._reweight_arrays = None
         #: wall-clock seconds of the last optimize(), split so the
@@ -101,24 +257,13 @@ class _Program:
         active = telemetry.current()
         if active.enabled:
             active.gauge("bip.columns", self.columns)
-            active.gauge("bip.binary_columns", len(self.indexes))
+            active.gauge("bip.binary_columns", self.binaries)
             active.gauge("bip.rows", len(self._lower))
             active.gauge("bip.nonzeros", len(self._entries))
             if adopted:
                 active.count("bip.programs_adopted")
 
     # -- construction -----------------------------------------------------
-
-    def _new_row(self, lower, upper):
-        self._lower.append(lower)
-        self._upper.append(upper)
-        return len(self._lower) - 1
-
-    def _new_column(self, cost):
-        self.costs.append(cost)
-        column = self.columns
-        self.columns += 1
-        return column
 
     def _adopt(self, previous):
         """Rebuild incrementally from a previous program.
@@ -161,58 +306,17 @@ class _Program:
         problem = self.problem
         if problem.space_limit is None:
             return
-        space = self._new_row(-np.inf, float(problem.space_limit))
-        for index in self.indexes:
-            self._entries.append(
-                (space, self.index_column[index.key], index.size))
+        self._add_row(-np.inf, float(problem.space_limit),
+                      [(self.index_column[index.key], index.size)
+                       for index in self.indexes])
 
     def _build(self):
         problem = self.problem
-        for query, plans in problem.query_plans.items():
-            weight = problem.weight(query)
-            choose_one = self._new_row(1.0, 1.0)
-            links = {}
-            for plan in plans:
-                column = self._new_column(weight * plan.cost)
-                self.plan_columns.append((query, plan, column))
-                self._entries.append((choose_one, column, 1.0))
-                self._link_plan(column, plan, links)
-        for update, update_plans in problem.update_plans.items():
-            weight = problem.weight(update)
-            for update_plan in update_plans:
-                index_column = self.index_column[update_plan.index.key]
-                self.costs[index_column] += weight * update_plan.update_cost
-                grouped = update_plan.support_plans_by_query
-                for support, plans in grouped.items():
-                    # one support plan iff the column family is selected
-                    gate = self._new_row(0.0, 0.0)
-                    self._entries.append((gate, index_column, -1.0))
-                    links = {}
-                    for plan in plans:
-                        column = self._new_column(weight * plan.cost)
-                        self.support_columns.append(
-                            (update_plan, support, plan, column))
-                        self._entries.append((gate, column, 1.0))
-                        self._link_plan(column, plan, links)
+        self._add_block(problem.query_plans, problem.update_plans,
+                        problem.weight, self.index_column)
         self._structure_rows = len(self._lower)
         self._structure_entries = len(self._entries)
         self._append_space_row()
-
-    def _link_plan(self, column, plan, links):
-        """Plan usable only when every column family it touches exists.
-
-        Links are aggregated per (statement, column family): since each
-        statement selects exactly one plan, ``sum of plans using j <= d_j``
-        is valid and gives a tighter LP relaxation than per-plan rows.
-        """
-        for index in plan.indexes:
-            row = links.get(index.key)
-            if row is None:
-                row = self._new_row(-np.inf, 0.0)
-                links[index.key] = row
-                self._entries.append(
-                    (row, self.index_column[index.key], -1.0))
-            self._entries.append((row, column, 1.0))
 
     # -- re-costing -----------------------------------------------------------
 
@@ -289,68 +393,6 @@ class _Program:
 
     # -- solving --------------------------------------------------------------
 
-    def _matrix(self, extra_entries=(), extra_bounds=()):
-        if self._entry_arrays is None:
-            self._entry_arrays = (
-                np.asarray([e[0] for e in self._entries]),
-                np.asarray([e[1] for e in self._entries]),
-                np.asarray([e[2] for e in self._entries], dtype=float),
-            )
-        rows, columns, values = self._entry_arrays
-        if not extra_entries and not extra_bounds:
-            if self._base_constraint is None:
-                matrix = csr_matrix(
-                    (values, (rows, columns)),
-                    shape=(len(self._lower), self.columns))
-                self._base_constraint = LinearConstraint(
-                    matrix, np.asarray(self._lower, dtype=float),
-                    np.asarray(self._upper, dtype=float))
-            return self._base_constraint
-        rows = np.concatenate([rows, [e[0] for e in extra_entries]])
-        columns = np.concatenate([columns,
-                                  [e[1] for e in extra_entries]])
-        values = np.concatenate([values, [e[2] for e in extra_entries]])
-        lower = list(self._lower) + [b[0] for b in extra_bounds]
-        upper = list(self._upper) + [b[1] for b in extra_bounds]
-        matrix = csr_matrix((values, (rows, columns)),
-                            shape=(len(lower), self.columns))
-        return LinearConstraint(matrix, np.asarray(lower),
-                                np.asarray(upper))
-
-    def _solve(self, objective, constraints, options=None, bounds=None,
-               integrality=None):
-        # Only the column-family selection variables need integrality:
-        # for any 0/1 selection, every plan whose column families are
-        # all selected is feasible on its own (the aggregated links
-        # allow x_p = 1), so a linear objective over the plan variables
-        # attains its optimum at a pure plan — fractional plan mixes
-        # can never beat the cheapest feasible plan.  Declaring the
-        # plan variables continuous cuts the binaries from thousands to
-        # the number of candidates.  ``integrality`` overrides (the LP
-        # gate passes all-zeros for the relaxation).
-        if integrality is None:
-            if self._integrality is None:
-                self._integrality = np.zeros(self.columns)
-                self._integrality[:len(self.indexes)] = 1
-            integrality = self._integrality
-        if bounds is None:
-            if self._unit_bounds is None:
-                self._unit_bounds = Bounds(0, 1)
-            bounds = self._unit_bounds
-        result = milp(
-            c=np.asarray(objective),
-            constraints=constraints,
-            integrality=integrality,
-            bounds=bounds,
-            options=options or {},
-        )
-        acceptable = result.success or (result.status == 1
-                                        and result.x is not None)
-        if not acceptable:
-            raise OptimizationError(
-                f"BIP solve failed: {result.message}")
-        return result
-
     def _phase2_bounds(self, best_cost, tolerance):
         """Variable fixing for the schema-minimisation solve.
 
@@ -411,27 +453,18 @@ class _Program:
         solution warm-starts the solve.  None (no cut) when the warm
         schema is infeasible for the current problem.
         """
-        incumbent = self.problem.evaluate_schema(keys)
+        priced = self.problem.price(keys)
         active = telemetry.current()
-        if incumbent is None:
+        if priced is None:
             if active.enabled:
                 active.count("bip.warm_start_infeasible")
             return None
         if active.enabled:
             active.count("bip.warm_starts_applied")
-            active.gauge("bip.warm_start_bound", incumbent)
+            active.gauge("bip.warm_start_bound", priced.cost)
         # slack absorbs float noise only: any true optimum still
         # satisfies cost <= incumbent < incumbent + slack
-        return incumbent + 1e-7 * (1.0 + abs(incumbent))
-
-    def _cost_cut(self, bound):
-        """The base constraints plus ``cost @ x <= bound`` as one row."""
-        row = len(self._lower)
-        cut = [(row, column, value)
-               for column, value in enumerate(self.costs)
-               if value != 0.0]
-        return self._matrix(extra_entries=cut,
-                            extra_bounds=[(-np.inf, bound)])
+        return priced.cost + 1e-7 * (1.0 + abs(priced.cost))
 
     def _solve_gated(self, constraint, options, cost_vector, gate_gap,
                      warm_keys):
@@ -453,7 +486,7 @@ class _Program:
         active = telemetry.current()
         if active.enabled:
             active.count("bip.lp_gate_used")
-        binaries = len(self.indexes)
+        binaries = self.binaries
         relaxed = self._solve(self.costs, [constraint], options,
                               integrality=np.zeros(self.columns))
         lp_bound = float(cost_vector @ relaxed.x)
@@ -530,7 +563,7 @@ class _Program:
             else:
                 constraint = self._cost_cut(bound)
             gated = (lp_gate_columns is not None
-                     and len(self.indexes) >= lp_gate_columns)
+                     and self.binaries >= lp_gate_columns)
             if gated:
                 result, best_cost = self._solve_gated(
                     constraint, options, cost_vector, lp_gate_gap,
@@ -545,7 +578,7 @@ class _Program:
                 # and minimise the number of selected column families
                 tolerance = (mip_rel_gap * abs(best_cost)
                              + 1e-7 * (1.0 + abs(best_cost)))
-                binaries = len(self.indexes)
+                binaries = self.binaries
                 # the phase-1 selection is feasible for phase 2 at its
                 # own cardinality, so a sum(d) <= |phase-1 schema| cut
                 # is sound and substantially narrows the search
@@ -584,7 +617,9 @@ class _Program:
                     result = self._solve(objective, [constraint],
                                          phase2_options, bounds=bounds)
                 except OptimizationError:
-                    pass
+                    # keep the phase-1 solution; _extract prunes it
+                    if active.enabled:
+                        active.count("bip.phase2_failed")
                 if active.enabled:
                     active.gauge("bip.phase2_time_limit",
                                  phase2_options["time_limit"])
@@ -602,109 +637,35 @@ class _Program:
                            buckets=telemetry.TIME_BUCKETS)
         return recommendation
 
-    @staticmethod
-    def _beats(weight, plan, best):
-        """Plan ranking for extraction: highest solver weight wins, then
-        cheaper cost, then the lexicographically smallest signature — so
-        equal-cost recommendations are byte-for-byte reproducible across
-        runs and hash seeds instead of following iteration order."""
-        if best is None:
-            return True
-        best_weight, best_cost, best_plan = best
-        rank = (weight, -plan.cost)
-        if rank != (best_weight, -best_cost):
-            return rank > (best_weight, -best_cost)
-        return plan.signature < best_plan.signature
-
     def _extract(self, result, total_cost):
-        selected = result.x > 0.5
-        # plan variables are continuous and may split across
-        # equal-cost alternatives; pick the highest-weight plan per
-        # statement (ties broken toward cheaper plans, then by plan
-        # signature for determinism)
-        query_plans = {}
-        query_best = {}
-        for query, plan, column in self.plan_columns:
-            weight = result.x[column]
-            if weight < 1e-6:
-                continue
-            if self._beats(weight, plan, query_best.get(query)):
-                query_best[query] = (weight, plan.cost, plan)
-                query_plans[query] = plan
-        chosen_support = {}
-        support_best = {}
-        for update_plan, support, plan, column in self.support_columns:
-            weight = result.x[column]
-            if weight < 1e-6:
-                continue
-            key = (id(update_plan), id(support))
-            if self._beats(weight, plan, support_best.get(key)):
-                support_best[key] = (weight, plan.cost, plan)
-        for (plan_id, _support_id), (_w, _c, plan) in support_best.items():
-            chosen_support.setdefault(plan_id, []).append(plan)
-        chosen_keys = self._used_keys(selected, query_plans,
-                                      chosen_support)
+        # plan variables are continuous and may split across equal-cost
+        # alternatives, and phase 2 leaves them anywhere under the cost
+        # cap: the selection alone is read, and priced afresh
+        selected_keys = {index.key for index, selected
+                         in zip(self.indexes, result.x > 0.5) if selected}
+        chosen = self.problem.price(selected_keys)
+        if chosen is None:
+            raise OptimizationError(
+                "BIP selection is infeasible once rounded to 0/1")
+        chosen_keys = chosen.used_keys
         indexes = [index for index in self.indexes
                    if index.key in chosen_keys]
         update_plans = {}
-        for update, plans in self.problem.update_plans.items():
-            kept = []
-            for update_plan in plans:
-                if update_plan.index.key not in chosen_keys:
-                    continue
-                support = chosen_support.get(id(update_plan), [])
-                kept.append(UpdatePlan(update, update_plan.index, support,
-                                       update_plan.steps))
+        for update, plans in chosen.update_plans.items():
+            kept = [plan for plan in plans
+                    if plan.index.key in chosen_keys]
             if kept:
                 update_plans[update] = kept
-        weights = {label: weight
-                   for label, weight in self.problem.weights.items()}
-        recommendation = SchemaRecommendation(indexes, query_plans,
-                                              update_plans, weights,
+        recommendation = SchemaRecommendation(indexes, chosen.query_plans,
+                                              update_plans,
+                                              self.problem.weights,
                                               total_cost)
         # the decision ledger: per-candidate selection status and, per
         # statement, the chosen plan next to the best rejected one
-        selected_keys = {self.indexes[column].key
-                         for column in range(len(self.indexes))
-                         if selected[column]}
         recommendation.ledger = solver_ledger(
-            self.problem, chosen_keys, selected_keys, query_plans,
+            self.problem, chosen_keys, selected_keys, chosen.query_plans,
             self.plan_columns)
         return recommendation
-
-    def _used_keys(self, selected, query_plans, chosen_support):
-        """Selected column families actually needed by some chosen plan.
-
-        When the two-phase solve runs this matches the solver's minimal
-        selection; when it is skipped, cost-free selected-but-unused
-        column families are pruned here (dropping one never violates a
-        constraint: no chosen plan references it, and its maintenance
-        gates only bind when it is kept).
-        """
-        selected_keys = {self.indexes[column].key
-                         for column in range(len(self.indexes))
-                         if selected[column]}
-        used = set()
-        for plan in query_plans.values():
-            used.update(index.key for index in plan.indexes)
-        # fixpoint: keeping a column family keeps its support plans,
-        # whose lookups may require further column families
-        plans_by_target = {}
-        for update_plan, _support, _plan, _column in self.support_columns:
-            plans_by_target.setdefault(update_plan.index.key,
-                                       set()).add(id(update_plan))
-        frontier = set(used)
-        while frontier:
-            next_frontier = set()
-            for key in frontier:
-                for plan_id in plans_by_target.get(key, ()):
-                    for chosen in chosen_support.get(plan_id, []):
-                        for index in chosen.indexes:
-                            if index.key not in used:
-                                next_frontier.add(index.key)
-            used |= next_frontier
-            frontier = next_frontier
-        return used & selected_keys
 
 
 class BIPOptimizer:

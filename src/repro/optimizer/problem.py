@@ -2,7 +2,46 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from repro import dominance
 from repro.exceptions import OptimizationError
+from repro.planner.plans import UpdatePlan
+
+
+class SchemaPrice(NamedTuple):
+    """A fixed schema priced by :meth:`OptimizationProblem.price`.
+
+    ``query_plans`` maps each query to its chosen plan and
+    ``update_plans`` each update to one :class:`UpdatePlan` per
+    maintained column family, carrying the chosen support plans.
+    ``used_keys`` are the column families some chosen plan reads.
+    """
+
+    cost: float
+    query_plans: dict
+    update_plans: dict
+    used_keys: frozenset
+
+
+def _used_by(query_plans, update_plans):
+    """Column families the chosen plans read: every query plan's, then
+    — to a fixpoint — the support plans of each maintained column
+    family already read."""
+    supports = {}
+    for plans in update_plans.values():
+        for update_plan in plans:
+            supports.setdefault(update_plan.index.key, []).extend(
+                update_plan.support_plans)
+    used = set()
+    frontier = {index.key for plan in query_plans.values()
+                for index in plan.indexes}
+    while frontier:
+        used |= frontier
+        frontier = {index.key for key in frontier
+                    for plan in supports.get(key, ())
+                    for index in plan.indexes} - used
+    return frozenset(used)
 
 
 class OptimizationProblem:
@@ -73,51 +112,63 @@ class OptimizationProblem:
                 f"new weights miss statements: {sorted(missing)}")
         self.weights = weights
 
-    def evaluate_schema(self, keys):
-        """Total weighted cost of selecting exactly ``keys``, or None.
+    def price(self, keys):
+        """Price the fixed schema ``keys``; a :class:`SchemaPrice` or None.
 
-        Evaluates the feasible solution that materializes every listed
-        column family: the cheapest plan per query restricted to
-        ``keys``, plus — for every maintained column family in ``keys``
-        — its update cost and the cheapest feasible plan per support
-        query.  Returns None when some query or open support gate has
-        no plan within ``keys`` or the schema exceeds the space limit.
-        Requires costed plans; used to turn a previous recommendation
-        into a warm-start incumbent bound for the BIP.
+        Every query takes its cheapest plan within ``keys``, and every
+        maintained column family in ``keys`` adds its update cost plus
+        the cheapest plan of each support query; cost ties break on plan
+        signature, so the choice is reproducible across runs and hash
+        seeds.  Keys no plan space references are ignored.  Returns None
+        when some query or support query has no plan within ``keys`` or
+        the schema exceeds the space limit.  Requires costed plans.
         """
-        known = {index.key for index in self.indexes}
-        keys = frozenset(keys) & known
+        indexes = self.indexes
+        keys = frozenset(keys) & {index.key for index in indexes}
         if self.space_limit is not None:
-            total_size = sum(index.size for index in self.indexes
-                             if index.key in keys)
-            if total_size > self.space_limit:
+            if sum(index.size for index in indexes
+                   if index.key in keys) > self.space_limit:
                 return None
 
         def cheapest(plans):
-            feasible = [plan.cost for plan in plans
-                        if all(index.key in keys
-                               for index in plan.indexes)]
-            return min(feasible) if feasible else None
+            best = best_rank = None
+            for plan in plans:
+                if all(index.key in keys for index in plan.indexes):
+                    rank = (plan.cost, dominance._signature(plan))
+                    if best is None or rank < best_rank:
+                        best, best_rank = plan, rank
+            return best
 
-        total = 0.0
+        cost = 0.0
+        query_plans = {}
         for query, plans in self.query_plans.items():
-            cost = cheapest(plans)
-            if cost is None:
+            chosen = cheapest(plans)
+            if chosen is None:
                 return None
-            total += self.weight(query) * cost
-        for update, update_plans in self.update_plans.items():
+            query_plans[query] = chosen
+            cost += self.weight(query) * chosen.cost
+        update_plans = {}
+        for update, plans in self.update_plans.items():
             weight = self.weight(update)
-            for update_plan in update_plans:
+            kept = []
+            for update_plan in plans:
                 if update_plan.index.key not in keys:
                     continue
-                total += weight * update_plan.update_cost
-                grouped = update_plan.support_plans_by_query
-                for _support, plans in grouped.items():
-                    cost = cheapest(plans)
-                    if cost is None:
+                supports = []
+                for support_plans in \
+                        update_plan.support_plans_by_query.values():
+                    chosen = cheapest(support_plans)
+                    if chosen is None:
                         return None
-                    total += weight * cost
-        return total
+                    supports.append(chosen)
+                    cost += weight * chosen.cost
+                cost += weight * update_plan.update_cost
+                kept.append(UpdatePlan(update, update_plan.index, supports,
+                                       update_plan.steps))
+            if kept:
+                update_plans[update] = kept
+        return SchemaPrice(cost, query_plans, update_plans,
+                           _used_by(query_plans, update_plans))
 
     @property
     def size(self):

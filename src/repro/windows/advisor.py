@@ -13,25 +13,24 @@ migration outweighs the per-window win, migrating everything when it
 is cheap, or migrating only the column families that pay for
 themselves.
 
-All three strategies are scored by one evaluator (cheapest feasible
-plan per active statement per window, maintenance for held modified
-column families, migrations priced by the
-:class:`~repro.tools.migration.MigrationCostModel`), so their totals
-are directly comparable and the windowed result is never worse than
-either baseline beyond solver tolerance.
+All three strategies are scored by one evaluator: each window is an
+:class:`~repro.optimizer.OptimizationProblem` over its active
+statements, priced by :meth:`~repro.optimizer.OptimizationProblem.price`,
+plus migrations priced by the
+:class:`~repro.tools.migration.MigrationCostModel`.  Their totals are
+therefore directly comparable, and the windowed result is never worse
+than either baseline beyond solver tolerance.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro import dominance
 from repro.advisor import AdvisorTiming
 from repro.exceptions import OptimizationError
 from repro.optimizer import OptimizationProblem
-from repro.planner.plans import UpdatePlan
 from repro.tools.migration import MigrationCostModel, plan_migration
-from repro.windows.bip import WindowedProgram
+from repro.windows.bip import WindowedProgram, _active
 from repro.windows.schedule import WindowSchedule
 
 __all__ = ["WindowedRecommendation", "WindowResult", "recommend_windows"]
@@ -116,86 +115,14 @@ class WindowedRecommendation:
 # -- schedule evaluation ------------------------------------------------------
 
 
-def _cheapest(plans, keys):
-    """Cheapest plan feasible within ``keys``; signature breaks ties
-    so schedules extract byte-identically across runs and hash seeds."""
-    best = None
-    best_rank = None
-    for plan in plans:
-        if any(index.key not in keys for index in plan.indexes):
-            continue
-        rank = (plan.cost, dominance._signature(plan))
-        if best is None or rank < best_rank:
-            best, best_rank = plan, rank
-    return best
-
-
-def _evaluate_window(query_plans, update_plans, weights, keys, label):
-    """Score one window's schema: serving cost plus chosen plans."""
-    serving = 0.0
-    chosen_queries = {}
-    for query, plans in query_plans.items():
-        weight = weights.get(query.label, 0.0)
-        if weight <= 0.0:
-            continue
-        best = _cheapest(plans, keys)
-        if best is None:
-            raise OptimizationError(
-                f"window {label!r}: no feasible plan for "
-                f"{query.label!r} within its schema")
-        chosen_queries[query] = best
-        serving += weight * best.cost
-    chosen_updates = {}
-    for update, plans in update_plans.items():
-        weight = weights.get(update.label, 0.0)
-        if weight <= 0.0:
-            continue
-        kept = []
-        for update_plan in plans:
-            if update_plan.index.key not in keys:
-                continue
-            supports = []
-            grouped = update_plan.support_plans_by_query
-            for support, support_plans in grouped.items():
-                best = _cheapest(support_plans, keys)
-                if best is None:
-                    raise OptimizationError(
-                        f"window {label!r}: no feasible support plan "
-                        f"for {update.label!r} maintaining "
-                        f"{update_plan.index.key}")
-                supports.append(best)
-                serving += weight * best.cost
-            serving += weight * update_plan.update_cost
-            kept.append(UpdatePlan(update, update_plan.index, supports,
-                                   update_plan.steps))
-        if kept:
-            chosen_updates[update] = kept
-    return serving, chosen_queries, chosen_updates
-
-
-def _used_keys(chosen_queries, chosen_updates):
-    """Column families some chosen plan actually reads (fixpoint over
-    support plans, mirroring the single-window extraction)."""
-    used = set()
-    for plan in chosen_queries.values():
-        used.update(index.key for index in plan.indexes)
-    by_target = {}
-    for plans in chosen_updates.values():
-        for update_plan in plans:
-            by_target.setdefault(update_plan.index.key,
-                                 []).append(update_plan)
-    frontier = set(used)
-    while frontier:
-        next_frontier = set()
-        for key in frontier:
-            for update_plan in by_target.get(key, ()):
-                for plan in update_plan.support_plans:
-                    for index in plan.indexes:
-                        if index.key not in used:
-                            next_frontier.add(index.key)
-        used |= next_frontier
-        frontier = next_frontier
-    return used
+def _price(problem, keys, label):
+    """Price one window's schema with the window's own problem."""
+    priced = problem.price(keys)
+    if priced is None:
+        raise OptimizationError(
+            f"window {label!r}: its schema leaves an active statement "
+            f"without a plan or exceeds the space limit")
+    return priced
 
 
 def _trim_schedule(key_sets, used_sets):
@@ -230,25 +157,22 @@ def _trim_schedule(key_sets, used_sets):
     return trimmed
 
 
-def _evaluate_schedule(query_plans, update_plans, window_weights,
-                       schedule, key_sets, index_by_key,
+def _evaluate_schedule(problems, schedule, key_sets, index_by_key,
                        migration_model, initial):
     """Score a full schedule; returns (windows, serving, migration)."""
     results = []
     serving_total = 0.0
     migration_total = 0.0
     previous = list(initial)
-    for window, weights, keys in zip(schedule, window_weights,
-                                     key_sets):
-        serving, chosen_queries, chosen_updates = _evaluate_window(
-            query_plans, update_plans, weights, keys, window.label)
+    for window, problem, keys in zip(schedule, problems, key_sets):
+        priced = _price(problem, keys, window.label)
         current = [index_by_key[key] for key in sorted(keys)]
         migration = plan_migration(previous, current)
         migration_cost = migration_model.migration_cost(migration)
         results.append(WindowResult(
-            window, current, serving, migration, migration_cost,
-            chosen_queries, chosen_updates, weights))
-        serving_total += serving
+            window, current, priced.cost, migration, migration_cost,
+            priced.query_plans, priced.update_plans, problem.weights))
+        serving_total += priced.cost
         migration_total += migration_cost
         previous = current
     return results, serving_total, migration_total
@@ -343,6 +267,12 @@ def recommend_windows(advisor, workload, schedule, initial=None,
                     for index in union_problem.indexes}
     for index in initial:
         index_by_key.setdefault(index.key, index)
+    # each window priced and re-advised over its active statements
+    window_problems = [
+        OptimizationProblem(_active(query_plans, weights),
+                            _active(update_plans, weights), weights,
+                            space_limit=space_limit)
+        for weights in window_weights]
     timing["prepare"] = time.perf_counter() - started
 
     # -- static baseline: one schema, chosen for the aggregate mix
@@ -352,8 +282,8 @@ def recommend_windows(advisor, workload, schedule, initial=None,
                                             jobs=jobs)
     static_keys = {index.key for index in static_rec.indexes}
     static_windows, static_serving, static_migration = \
-        _evaluate_schedule(query_plans, update_plans, window_weights,
-                           schedule, [static_keys] * len(schedule),
+        _evaluate_schedule(window_problems, schedule,
+                           [static_keys] * len(schedule),
                            index_by_key, migration_model, initial)
     timing["static"] = time.perf_counter() - started
 
@@ -362,15 +292,7 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     warmable = getattr(advisor.optimizer, "supports_warm_start", False)
     naive_keys = []
     previous = initial if initial else None
-    for weights in window_weights:
-        active_queries = {
-            query: plans for query, plans in query_plans.items()
-            if weights.get(query.label, 0.0) > 0.0}
-        active_updates = {
-            update: plans for update, plans in update_plans.items()
-            if weights.get(update.label, 0.0) > 0.0}
-        problem = OptimizationProblem(active_queries, active_updates,
-                                      weights, space_limit=space_limit)
+    for problem in window_problems:
         if warmable and previous is not None:
             window_rec = advisor.optimizer.solve(problem,
                                                  warm_start=previous)
@@ -379,9 +301,8 @@ def recommend_windows(advisor, workload, schedule, initial=None,
         naive_keys.append({index.key for index in window_rec.indexes})
         previous = window_rec
     naive_windows, naive_serving, naive_migration = \
-        _evaluate_schedule(query_plans, update_plans, window_weights,
-                           schedule, naive_keys, index_by_key,
-                           migration_model, initial)
+        _evaluate_schedule(window_problems, schedule, naive_keys,
+                           index_by_key, migration_model, initial)
     timing["naive"] = time.perf_counter() - started
 
     # -- the windowed program: schemas and migrations co-optimized
@@ -397,15 +318,13 @@ def recommend_windows(advisor, workload, schedule, initial=None,
                              incumbent=incumbent)
     # trim cost-tie selections nothing reads, then re-score: the final
     # totals come from the shared evaluator, not the solver objective
-    used_sets = []
-    for weights, keys in zip(window_weights, key_sets):
-        _serving, chosen_queries, chosen_updates = _evaluate_window(
-            query_plans, update_plans, weights, keys, "windowed")
-        used_sets.append(_used_keys(chosen_queries, chosen_updates))
+    used_sets = [_price(problem, keys, window.label).used_keys
+                 for window, problem, keys
+                 in zip(schedule, window_problems, key_sets)]
     trimmed = _trim_schedule(key_sets, used_sets)
     windows, _serving, _migration = _evaluate_schedule(
-        query_plans, update_plans, window_weights, schedule, trimmed,
-        index_by_key, migration_model, initial)
+        window_problems, schedule, trimmed, index_by_key,
+        migration_model, initial)
     timing["windowed_solve"] = time.perf_counter() - started
 
     baselines = {

@@ -1,10 +1,11 @@
 """The windowed schema-selection BIP with migration decision variables.
 
 Extends the per-plan formulation of :mod:`repro.optimizer.bip` across a
-window schedule: one full schema-selection block per window (selection
-variables ``d[w,j]``, choose-one plan rows, aggregated link rows,
-support gates) plus one migration variable ``m[t,j]`` per transition
-and candidate, constrained by
+window schedule: one statement block per window, laid out by the shared
+:class:`~repro.optimizer.bip.SelectionProgram` builder over that
+window's selection variables ``d[w,j]`` (choose-one plan rows,
+aggregated link rows, support gates), plus one migration variable
+``m[t,j]`` per transition and candidate, constrained by
 
     d[t,j] - d[t-1,j] - m[t,j] <= 0
 
@@ -27,16 +28,21 @@ coefficients are non-negative.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 from repro import telemetry
 from repro.exceptions import OptimizationError
+from repro.optimizer.bip import SelectionProgram
 
 __all__ = ["WindowedProgram"]
 
 
-class WindowedProgram:
+def _active(plan_spaces, weights):
+    """The plan spaces of the statements with positive weight."""
+    return {statement: plans for statement, plans in plan_spaces.items()
+            if weights.get(statement.label, 0.0) > 0.0}
+
+
+class WindowedProgram(SelectionProgram):
     """A materialized windowed BIP over shared (costed) plan spaces.
 
     ``query_plans`` and ``update_plans`` are the union plan spaces (every
@@ -63,16 +69,10 @@ class WindowedProgram:
         if not self.windows:
             raise OptimizationError("windowed program needs at least "
                                     "one window")
-        self._column_of = {index.key: j
-                           for j, index in enumerate(self.indexes)}
-        self._entries = []
-        self._lower = []
-        self._upper = []
         # layout: W*J selection binaries, then W*J migration variables,
         # then per-window plan/support columns (all continuous)
         blocks = self.windows * len(self.indexes)
-        self.costs = [0.0] * (2 * blocks)
-        self.columns = 2 * blocks
+        super().__init__(2 * blocks, blocks)
         self.objective_value = None
         self._build()
 
@@ -85,17 +85,6 @@ class WindowedProgram:
         return (self.windows * len(self.indexes)
                 + transition * len(self.indexes) + j)
 
-    def _new_row(self, lower, upper):
-        self._lower.append(lower)
-        self._upper.append(upper)
-        return len(self._lower) - 1
-
-    def _new_column(self, cost):
-        self.costs.append(cost)
-        column = self.columns
-        self.columns += 1
-        return column
-
     # -- construction -----------------------------------------------------
 
     def _build(self):
@@ -104,95 +93,35 @@ class WindowedProgram:
             for transition in range(self.windows):
                 self.costs[self._m(transition, j)] = creation
         for window, weights in enumerate(self.window_weights):
-            self._build_window(window, weights)
+            # one block per window over its active statements, linked
+            # to the column families this window holds
+            selection = {index.key: self._d(window, j)
+                         for j, index in enumerate(self.indexes)}
+            self._add_block(_active(self.query_plans, weights),
+                            _active(self.update_plans, weights),
+                            lambda statement: weights[statement.label],
+                            selection)
         self._build_migrations()
         if self.space_limit is not None:
             for window in range(self.windows):
-                row = self._new_row(-np.inf, float(self.space_limit))
-                for j, index in enumerate(self.indexes):
-                    self._entries.append(
-                        (row, self._d(window, j), index.size))
-
-    def _build_window(self, window, weights):
-        for query, plans in self.query_plans.items():
-            weight = weights.get(query.label, 0.0)
-            if weight <= 0.0:
-                continue
-            choose_one = self._new_row(1.0, 1.0)
-            links = {}
-            for plan in plans:
-                column = self._new_column(weight * plan.cost)
-                self._entries.append((choose_one, column, 1.0))
-                self._link_plan(window, column, plan, links)
-        for update, update_plans in self.update_plans.items():
-            weight = weights.get(update.label, 0.0)
-            if weight <= 0.0:
-                continue
-            for update_plan in update_plans:
-                selection = self._d(
-                    window, self._column_of[update_plan.index.key])
-                self.costs[selection] += weight * update_plan.update_cost
-                grouped = update_plan.support_plans_by_query
-                for _support, plans in grouped.items():
-                    # one support plan iff this window holds the column
-                    # family the update maintains
-                    gate = self._new_row(0.0, 0.0)
-                    self._entries.append((gate, selection, -1.0))
-                    links = {}
-                    for plan in plans:
-                        column = self._new_column(weight * plan.cost)
-                        self._entries.append((gate, column, 1.0))
-                        self._link_plan(window, column, plan, links)
-
-    def _link_plan(self, window, column, plan, links):
-        """Plan usable only when this window holds every column family
-        it touches — aggregated per (statement, window, column family)
-        exactly like the single-window program."""
-        for index in plan.indexes:
-            row = links.get(index.key)
-            if row is None:
-                row = self._new_row(-np.inf, 0.0)
-                links[index.key] = row
-                self._entries.append(
-                    (row, self._d(window, self._column_of[index.key]),
-                     -1.0))
-            self._entries.append((row, column, 1.0))
+                self._add_row(-np.inf, float(self.space_limit),
+                              [(self._d(window, j), index.size)
+                               for j, index in enumerate(self.indexes)])
 
     def _build_migrations(self):
         for transition in range(self.windows):
             for j, index in enumerate(self.indexes):
+                terms = [(self._d(transition, j), 1.0),
+                         (self._m(transition, j), -1.0)]
                 if transition == 0:
                     held = index.key in self.initial_keys
-                    row = self._new_row(-np.inf, 1.0 if held else 0.0)
+                    self._add_row(-np.inf, 1.0 if held else 0.0, terms)
                 else:
-                    row = self._new_row(-np.inf, 0.0)
-                    self._entries.append(
-                        (row, self._d(transition - 1, j), -1.0))
-                self._entries.append((row, self._d(transition, j), 1.0))
-                self._entries.append((row, self._m(transition, j), -1.0))
+                    self._add_row(-np.inf, 0.0,
+                                  [(self._d(transition - 1, j), -1.0)]
+                                  + terms)
 
     # -- solving ----------------------------------------------------------
-
-    def _constraint(self, incumbent=None):
-        entries = list(self._entries)
-        lower = list(self._lower)
-        upper = list(self._upper)
-        if incumbent is not None:
-            # incumbent-bound cut: scipy's milp has no MIP-start, so a
-            # known feasible schedule bounds the objective from above
-            row = len(lower)
-            entries.extend((row, column, value)
-                           for column, value in enumerate(self.costs)
-                           if value != 0.0)
-            lower.append(-np.inf)
-            upper.append(incumbent)
-        matrix = csr_matrix(
-            ([value for _, _, value in entries],
-             ([row for row, _, _ in entries],
-              [column for _, column, _ in entries])),
-            shape=(len(lower), self.columns))
-        return LinearConstraint(matrix, np.asarray(lower, dtype=float),
-                                np.asarray(upper, dtype=float))
 
     def solve(self, mip_rel_gap=1e-4, time_limit=120.0, incumbent=None):
         """Solve for the cheapest schedule; returns per-window key sets.
@@ -201,32 +130,23 @@ class WindowedProgram:
         (e.g. the better of the static and naive baselines) as an upper
         bound — every baseline schedule is a feasible point of this
         program with the same objective value, so the bound never cuts
-        off an optimum.
+        off an optimum.  scipy's milp has no MIP-start, so this
+        incumbent-bound cut is how the known schedule seeds the solve.
         """
-        binaries = self.windows * len(self.indexes)
-        integrality = np.zeros(self.columns)
-        integrality[:binaries] = 1
-        if incumbent is not None:
-            incumbent = incumbent + 1e-7 * (1.0 + abs(incumbent))
-        result = milp(
-            c=np.asarray(self.costs),
-            constraints=[self._constraint(incumbent=incumbent)],
-            integrality=integrality,
-            bounds=Bounds(0, 1),
-            options={"mip_rel_gap": mip_rel_gap,
-                     "time_limit": time_limit},
-        )
-        acceptable = result.success or (result.status == 1
-                                        and result.x is not None)
-        if not acceptable:
-            raise OptimizationError(
-                f"windowed BIP solve failed: {result.message}")
+        if incumbent is None:
+            constraint = self._matrix()
+        else:
+            constraint = self._cost_cut(
+                incumbent + 1e-7 * (1.0 + abs(incumbent)))
+        result = self._solve(self.costs, [constraint],
+                             {"mip_rel_gap": mip_rel_gap,
+                              "time_limit": time_limit})
         self.objective_value = float(
             np.asarray(self.costs) @ result.x)
         active = telemetry.current()
         if active.enabled:
             active.gauge("windows.bip_columns", self.columns)
-            active.gauge("windows.bip_binary_columns", binaries)
+            active.gauge("windows.bip_binary_columns", self.binaries)
             active.gauge("windows.bip_rows", len(self._lower))
             active.gauge("windows.bip_objective", self.objective_value)
         key_sets = []

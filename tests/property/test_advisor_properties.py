@@ -19,8 +19,8 @@ from repro.optimizer import (
     BruteForceOptimizer,
     OptimizationProblem,
 )
-from repro.planner import QueryPlanner
-from repro.workload import Workload
+from repro.planner import QueryPlanner, UpdatePlanner
+from repro.workload import Workload, parse_statement
 from repro.workload.conditions import Condition
 from repro.workload.statements import Query
 
@@ -100,11 +100,24 @@ def test_plan_costs_positive_and_mv_is_single_get(query):
     assert single_gets, "the materialized view plan must exist"
 
 
+#: updates whose maintenance needs support queries on wider column
+#: families of the pool
+UPDATES = [
+    "UPDATE Guest SET GuestName = ? WHERE Guest.GuestID = ?",
+    "UPDATE Hotel SET HotelName = ? WHERE Hotel.HotelID = ?",
+    "UPDATE Room SET RoomRate = ? WHERE Room.RoomID = ?",
+]
+
+
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(query=queries(), weight=st.floats(0.1, 100.0))
-def test_bip_matches_brute_force_on_random_queries(query, weight):
-    """The HiGHS encoding must agree with exhaustive search."""
+@given(query=queries(), weight=st.floats(0.1, 100.0),
+       update=st.sampled_from(UPDATES),
+       update_weight=st.floats(0.1, 100.0))
+def test_bip_matches_brute_force_on_random_queries(query, weight, update,
+                                                   update_weight):
+    """The HiGHS encoding must agree with exhaustive search, including
+    the maintenance and support-plan terms of one update."""
     pool = sorted(CandidateEnumerator(MODEL).enumerate_query(query),
                   key=lambda index: index.key)[:10]
     planner = QueryPlanner(MODEL, pool, max_plans=60)
@@ -114,11 +127,19 @@ def test_bip_matches_brute_force_on_random_queries(query, weight):
     cost_model = CassandraCostModel()
     for plan in plans:
         cost_model.cost_plan(plan)
-    problem = OptimizationProblem({query: plans}, {},
-                                  {"prop_query": weight})
+    update = parse_statement(MODEL, update, label="prop_update")
+    update_plans = UpdatePlanner(MODEL, planner).plans_for(update,
+                                                           require=False)
+    for update_plan in update_plans:
+        cost_model.cost_update_plan(update_plan)
+    problem = OptimizationProblem(
+        {query: plans}, {update: update_plans},
+        {"prop_query": weight, "prop_update": update_weight})
     bip = BIPOptimizer(mip_rel_gap=0.0).solve(problem)
     brute = BruteForceOptimizer().solve(problem)
     assert bip.total_cost == pytest.approx(brute.total_cost, rel=1e-6)
+    chosen = problem.price(index.key for index in bip.indexes)
+    assert chosen.cost == pytest.approx(bip.total_cost, rel=1e-6)
 
 
 @settings(max_examples=8, deadline=None,
