@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from repro import dominance, telemetry
 from repro.cost import CassandraCostModel
 from repro.enumerator import CandidateEnumerator
-from repro.enumerator.support import modifies
+from repro.enumerator.support import modifies, support_queries
 from repro.exceptions import TruncationWarning
 from repro.explain import ExplainData, prune_entry, prune_record
 from repro.optimizer import BIPOptimizer, OptimizationProblem
@@ -285,6 +285,26 @@ class PreparedWorkload:
                 f"reused={self.reuse_count})")
 
 
+def _relabeled(record, label):
+    """A pruning record for ``label``, of the same form as the statement
+    the record was made for."""
+    if record["statement"] == label:
+        return record
+    return dict(record, statement=label)
+
+
+def _support_records(records, update_plan, update):
+    """The pruning records of ``update_plan``'s support queries, keyed
+    by the labels of ``update``'s own support queries."""
+    if update_plan.update.label == update.label:
+        return records
+    labels = {planned.label: own.label for planned, own in zip(
+        update_plan.support_plans_by_query,
+        support_queries(update, update_plan.index))}
+    return {labels[label]: _relabeled(record, labels[label])
+            for label, record in records.items()}
+
+
 def _statement_key(statement):
     """A structural identity for one statement.
 
@@ -505,45 +525,59 @@ class Advisor:
         the artifact key captures exactly that (see
         :meth:`~repro.planner.QueryPlanner.relevant_pool_key`), so a
         cached space is served even when unrelated parts of the pool
-        changed.  Misses are planned on a forked process pool (the
+        changed.  Labels and parameter names are not part of the key:
+        the queries of one form share one space, planned for the first
+        of them (costing and pruning then also run once per form, and
+        the optimizer rebinds the chosen plan to each query; see
+        :class:`~repro.optimizer.OptimizationProblem`).  Misses are
+        planned on a forked process pool (the
         plan-space DFS is CPU-bound pure Python, which threads cannot
         speed up) — the workers only plan, the parent owns the artifact
         store, and store order follows the workload.
         """
         store = self.artifacts
-        spaces = {}
-        missing = []
+        keys = {}      # signature -> artifact key
+        resolved = {}  # artifact key -> artifact (None until planned)
+        missing = []   # (key, the form's first query) to plan
+        forms = []     # (query, key) in workload order
         reused = 0
         for query in queries:
-            key = ("plan", statement_signature(query), query.label,
-                   planner.max_plans, planner.relevant_pool_key(query))
-            artifact = store.get(key)
-            if artifact is None:
-                missing.append((query, key))
-                spaces[query] = None  # placeholder keeps workload order
-            else:
-                artifacts[query] = artifact
-                spaces[query] = artifact.space
+            signature = statement_signature(query)
+            key = keys.get(signature)
+            if key is None:
+                # a form is looked up and planned once, for its first
+                # query; the others share its plan space
+                key = keys[signature] = (
+                    "plan", signature, planner.max_plans,
+                    planner.relevant_pool_key(query))
+                resolved[key] = store.get(key)
+                if resolved[key] is None:
+                    missing.append((key, query))
+            if resolved[key] is not None:
                 reused += 1
+            forms.append((query, key))
         planned = parallel_map(
-            lambda item: planner.plans_for(item[0]), missing, jobs=jobs,
+            lambda item: planner.plans_for(item[1]), missing, jobs=jobs,
             backend="process")
-        for (query, key), space in zip(missing, planned):
-            artifact = PlanArtifact(space)
-            store.put(key, artifact)
-            artifacts[query] = artifact
-            spaces[query] = space
+        for (key, _query), space in zip(missing, planned):
+            resolved[key] = PlanArtifact(space)
+            store.put(key, resolved[key])
+        spaces = {}
+        for query, key in forms:
+            artifacts[query] = resolved[key]
+            spaces[query] = resolved[key].space
         return spaces, reused
 
     def _plan_updates(self, updates, planner, update_planner,
                       artifacts, jobs):
         """Maintenance plans: ``({update: [UpdatePlan]}, reused count)``.
 
-        One artifact per (update, modified column family) pair, keyed
-        by the update's signature, the column family, the support-plan
-        cap and a fingerprint of the pool subset each support query can
-        touch.  An update counts as reused only when every one of its
-        pairs was served from the store.
+        One artifact per (update form, modified column family) pair,
+        keyed by the update's signature, the column family, the
+        support-plan cap and a fingerprint of the pool subset each
+        support query can touch; as for queries, the updates of one form
+        share their artifacts.  An update counts as reused only when
+        every one of its pairs was served from the store.
 
         The parent walks the pool, resolves keys and serves store hits;
         only the misses — the actual support-query planning — fan out,
@@ -554,29 +588,36 @@ class Advisor:
         """
         store = self.artifacts
         pool = planner.pool
-        slots = []     # (update, [artifact | position into missing])
+        forms = {}     # signature -> [artifact | position into missing]
+        slots = []     # (update, its form's pairs)
         stale = set()  # updates with at least one store miss
         missing = []   # (update, index, supports, key) work items
         for update in updates:
             signature = statement_signature(update)
-            pairs = []
-            for index in pool:
-                if not modifies(update, index):
-                    continue
-                supports = update_planner.support_queries_for(update,
-                                                              index)
-                fingerprint = tuple(planner.relevant_pool_key(support)
-                                    for support in supports)
-                key = ("update-plan", signature, update.label,
-                       index.key, update_planner.max_support_plans,
-                       fingerprint)
-                artifact = store.get(key)
-                if artifact is None:
-                    stale.add(update)
-                    pairs.append(len(missing))
-                    missing.append((update, index, supports, key))
-                else:
-                    pairs.append(artifact)
+            pairs = forms.get(signature)
+            if pairs is None:
+                # as for queries, a form is planned once, for its first
+                # update, and its maintenance plans are shared
+                pairs = forms[signature] = []
+                for index in pool:
+                    if not modifies(update, index):
+                        continue
+                    supports = update_planner.support_queries_for(
+                        update, index)
+                    fingerprint = tuple(
+                        planner.relevant_pool_key(support)
+                        for support in supports)
+                    key = ("update-plan", signature, index.key,
+                           update_planner.max_support_plans, fingerprint)
+                    artifact = store.get(key)
+                    if artifact is None:
+                        pairs.append(len(missing))
+                        missing.append((update, index, supports, key))
+                    else:
+                        pairs.append(artifact)
+            if not all(isinstance(pair, UpdatePlanArtifact)
+                       for pair in pairs):
+                stale.add(update)
             slots.append((update, pairs))
         planned = parallel_map(
             lambda item: update_planner.plan_one(item[0], item[1],
@@ -728,25 +769,27 @@ class Advisor:
                 for update_plan in plans:
                     self.cost_model.cost_update_plan(update_plan)
 
-            query_spaces = []
+            # statements of one form share their plans: each distinct
+            # space is costed once (and never on two threads at once)
+            query_spaces = {}
             for query, space in prepared.query_plans.items():
                 artifact = prepared.plan_artifacts.get(query)
                 if artifact is not None \
                         and artifact.costed_by == model_id:
                     continue
-                query_spaces.append(space)
-            update_spaces = []
+                query_spaces.setdefault(id(space), space)
+            update_spaces = {}
             for update, plans in prepared.update_plans.items():
                 pairs = prepared.update_artifacts.get(update)
                 if pairs:
-                    pending = [artifact.plan for artifact in pairs
-                               if artifact.costed_by != model_id]
-                    if pending:
-                        update_spaces.append(pending)
-                else:
-                    update_spaces.append(plans)
-            parallel_map(cost_space, query_spaces, jobs=jobs)
-            parallel_map(cost_update_space, update_spaces, jobs=jobs)
+                    plans = [artifact.plan for artifact in pairs
+                             if artifact.costed_by != model_id]
+                if plans:
+                    update_spaces.setdefault(id(plans[0]), plans)
+            parallel_map(cost_space, list(query_spaces.values()),
+                         jobs=jobs)
+            parallel_map(cost_update_space, list(update_spaces.values()),
+                         jobs=jobs)
             for artifact in prepared.plan_artifacts.values():
                 artifact.costed_by = model_id
             for pairs in prepared.update_artifacts.values():
@@ -812,25 +855,27 @@ class Advisor:
                 (query, plans, artifact,
                  self._pruned_hit(artifact, query_key))
                 for query, plans, artifact in query_items]
-            pending = [(query, plans)
-                       for query, plans, artifact, hit in query_items
-                       if not hit]
-            pruned = iter(parallel_map(prune_query, pending, jobs=jobs))
+            # statements of one form share one plan space: prune it once
+            pending = {}
+            for query, plans, artifact, hit in query_items:
+                if not hit:
+                    pending.setdefault(id(plans), (query, plans))
+            pruned = dict(zip(pending, parallel_map(
+                prune_query, list(pending.values()), jobs=jobs)))
             pruned_query_plans = {}
             for query, plans, artifact, hit in query_items:
-                label = query.label or str(query)
                 if hit:
-                    pruned_query_plans[query] = artifact.pruned
-                    ledger[label] = artifact.record
+                    kept, record = artifact.pruned, artifact.record
                     reused_prunes += 1
-                    continue
-                kept, record = next(pruned)
+                else:
+                    kept, record = pruned[id(plans)]
+                    if artifact is not None:
+                        artifact.pruned = kept
+                        artifact.record = record
+                        artifact.pruned_key = query_key
                 pruned_query_plans[query] = kept
-                ledger[label] = record
-                if artifact is not None:
-                    artifact.pruned = kept
-                    artifact.record = record
-                    artifact.pruned_key = query_key
+                label = query.label or str(query)
+                ledger[label] = _relabeled(record, label)
             prepared._pruned_query_plans = pruned_query_plans
             support_key = (id(self.cost_model), self.support_prune_to)
 
@@ -850,27 +895,30 @@ class Advisor:
                                  self._pruned_hit(artifact,
                                                   support_key)))
                 update_items.append((update, rows))
-            pending = [update_plan
-                       for update, rows in update_items
-                       for update_plan, artifact, hit in rows
-                       if not hit]
-            pruned = iter(parallel_map(prune_update, pending, jobs=jobs))
+            pending = {}
+            for update, rows in update_items:
+                for update_plan, artifact, hit in rows:
+                    if not hit:
+                        pending.setdefault(id(update_plan), update_plan)
+            pruned = dict(zip(pending, parallel_map(
+                prune_update, list(pending.values()), jobs=jobs)))
             pruned_updates = {}
             for update, rows in update_items:
                 pruned_plans = []
                 for update_plan, artifact, hit in rows:
                     if hit:
-                        pruned_plans.append(artifact.pruned)
-                        ledger.update(artifact.records)
+                        pruned_plan = artifact.pruned
+                        records = artifact.records
                         reused_prunes += 1
-                        continue
-                    pruned_plan, records = next(pruned)
+                    else:
+                        pruned_plan, records = pruned[id(update_plan)]
+                        if artifact is not None:
+                            artifact.pruned = pruned_plan
+                            artifact.records = dict(records)
+                            artifact.pruned_key = support_key
                     pruned_plans.append(pruned_plan)
-                    ledger.update(records)
-                    if artifact is not None:
-                        artifact.pruned = pruned_plan
-                        artifact.records = dict(records)
-                        artifact.pruned_key = support_key
+                    ledger.update(_support_records(records, update_plan,
+                                                   update))
                 pruned_updates[update] = pruned_plans
             prepared._pruned_update_plans = self._reachable_update_plans(
                 prepared._pruned_query_plans, pruned_updates)
@@ -913,6 +961,7 @@ class Advisor:
                 problem = OptimizationProblem(query_plans, update_plans,
                                               weights,
                                               space_limit=space_limit)
+            active.gauge("advisor.statement_classes", len(problem.classes))
             timing.bip_construction = time.perf_counter() - stage
             stage = time.perf_counter()
             with active.span("bip_solving"):
@@ -952,6 +1001,10 @@ class Advisor:
                 active.count("bip.programs_built")
                 if span is not None:
                     span.set(mode="build")
+        problem = getattr(program, "problem", None)
+        if problem is not None:
+            # statements of one form are one class: one block, one plan
+            active.gauge("advisor.statement_classes", len(problem.classes))
         timing.bip_construction = time.perf_counter() - stage
 
         stage = time.perf_counter()

@@ -64,7 +64,7 @@ def solver_ledger(problem, chosen_keys, selected_keys, query_plans,
     ``query_plans`` maps each workload query to its chosen plan and
     ``plan_columns`` is the program's ``(query, plan, column)`` listing,
     from which per-statement alternatives and the best rejected plan
-    cost are derived.
+    cost are derived; every member of a class gets its class's record.
     """
     space_limited = problem.space_limit is not None
     indexes = {}
@@ -87,14 +87,16 @@ def solver_ledger(problem, chosen_keys, selected_keys, query_plans,
     statements = {}
     for query, plans in grouped.items():
         chosen = query_plans.get(query)
-        label = getattr(query, "label", None) or str(query)
         record = {
             "alternatives_in_solver": len(plans),
             "chosen_cost": chosen.cost if chosen is not None else None,
             "chosen_signature": (chosen.signature
                                  if chosen is not None else None),
         }
-        rejected = [plan for plan in plans if plan is not chosen]
+        # the chosen plan may be rebound to another statement of its
+        # class (QueryPlan.rebind): match it by signature
+        rejected = [plan for plan in plans if chosen is None
+                    or plan.signature != chosen.signature]
         if rejected:
             best = min(rejected,
                        key=lambda plan: (plan.cost, plan.signature))
@@ -103,7 +105,9 @@ def solver_ledger(problem, chosen_keys, selected_keys, query_plans,
         else:
             record["best_rejected_cost"] = None
             record["best_rejected_signature"] = None
-        statements[label] = record
+        for member in problem.classes.get(query, (query,)):
+            label = getattr(member, "label", None) or str(member)
+            statements[label] = dict(record)
 
     return {
         "space_limit": problem.space_limit,

@@ -30,13 +30,17 @@ from repro.optimizer.results import SchemaRecommendation
 
 
 def _same_plan_structure(previous, problem):
-    """True when two problems carry identical per-statement plan lists.
+    """True when two problems carry identical per-class plan lists.
 
     Identity (``is``) per plan object: the constraint structure built
     from them is then guaranteed equal, which is what program adoption
-    relies on.  Statement labels must match too — the cost vector is
-    rebuilt through label-keyed weight lookups.
+    relies on.  Statement labels and class memberships must match too —
+    the cost vector is rebuilt through label-keyed weight lookups.
     """
+
+    def members(problem):
+        return [(statement.label, head.label)
+                for statement, head in problem.representative.items()]
 
     def matches(left, right):
         if len(left) != len(right):
@@ -50,8 +54,9 @@ def _same_plan_structure(previous, problem):
                 return False
         return True
 
-    return (matches(previous.query_plans, problem.query_plans)
-            and matches(previous.update_plans, problem.update_plans))
+    return (members(previous) == members(problem)
+            and matches(previous.query_classes, problem.query_classes)
+            and matches(previous.update_classes, problem.update_classes))
 
 
 class SelectionProgram:
@@ -312,8 +317,8 @@ class _Program(SelectionProgram):
 
     def _build(self):
         problem = self.problem
-        self._add_block(problem.query_plans, problem.update_plans,
-                        problem.weight, self.index_column)
+        self._add_block(problem.query_classes, problem.update_classes,
+                        problem.class_weight, self.index_column)
         self._structure_rows = len(self._lower)
         self._structure_entries = len(self._entries)
         self._append_space_row()
@@ -356,7 +361,7 @@ class _Program(SelectionProgram):
                 [(self.index_column[update_plan.index.key],
                   update_plan.update_cost, position(update))
                  for update, update_plans
-                 in self.problem.update_plans.items()
+                 in self.problem.update_classes.items()
                  for update_plan in update_plans],
                 dtype=float).reshape(-1, 3)
             self._reweight_arrays = (statements, [
@@ -378,7 +383,7 @@ class _Program(SelectionProgram):
         problem = self.problem
         problem.set_weights(weights)
         statements, groups = self._reweight_cache()
-        by_statement = np.array([problem.weight(statement)
+        by_statement = np.array([problem.class_weight(statement)
                                  for statement in statements])
         costs = np.zeros(self.columns)
         for columns, base_costs, stmt_positions, accumulate in groups:
@@ -407,12 +412,13 @@ class _Program(SelectionProgram):
         fixing such columns to zero preserves a phase-2 optimum.  This
         is a no-op when maintenance costs dominate the slack (e.g.
         update-heavy mixes) but prunes most plan columns on read-mostly
-        workloads.  Returns ``None`` when nothing can be fixed.
+        workloads.  Returns the columns' upper bounds: 0 where fixed.
         """
+        upper = np.ones(self.columns)
         costs = np.asarray(self.costs, dtype=float)
         if costs.size == 0 or costs.min() < 0.0:
             # negative costs void the lower-bound argument
-            return None
+            return upper
         # index-selection columns must never be fixed: the group minima
         # below are computed ignoring which column families exist
         margins = np.full(self.columns, -np.inf)
@@ -437,11 +443,8 @@ class _Program(SelectionProgram):
                          int(fixed.sum()))
             active.gauge("bip.phase2_free_columns",
                          int(self.columns - fixed.sum()))
-        if not fixed.any():
-            return None
-        upper = np.ones(self.columns)
         upper[fixed] = 0.0
-        return Bounds(0, upper)
+        return upper
 
     def _warm_bound(self, keys):
         """Incumbent cost bound from a previous schema's keys, or None.
@@ -578,44 +581,36 @@ class _Program(SelectionProgram):
                 # and minimise the number of selected column families
                 tolerance = (mip_rel_gap * abs(best_cost)
                              + 1e-7 * (1.0 + abs(best_cost)))
-                binaries = self.binaries
-                # the phase-1 selection is feasible for phase 2 at its
-                # own cardinality, so a sum(d) <= |phase-1 schema| cut
-                # is sound and substantially narrows the search
-                cardinality = float(
-                    (result.x[:binaries] > 0.5).sum())
-                row = len(self._lower)
-                entries = [(row, column, value)
-                           for column, value in enumerate(self.costs)
-                           if value != 0.0]
-                entries.extend((row + 1, column, 1.0)
-                               for column in range(binaries))
-                constraint = self._matrix(
-                    extra_entries=entries,
-                    extra_bounds=[(-np.inf, best_cost + tolerance),
-                                  (-np.inf, cardinality)])
                 objective = [0.0] * self.columns
-                for column in range(binaries):
-                    objective[column] = 1.0
+                objective[:self.binaries] = [1.0] * self.binaries
+                # the phase-1 selection is feasible for phase 2, so
+                # phase 2 searches only within it: every column family
+                # phase 1 left out is fixed to 0, which keeps the search
+                # small enough to finish well inside its budget and
+                # never yields a larger schema than phase 1's
+                upper = self._phase2_bounds(best_cost, tolerance)
+                unselected = result.x[:self.binaries] <= 0.5
+                upper[:self.binaries][unselected] = 0.0
+                if active.enabled:
+                    active.gauge("bip.phase2_free_binaries",
+                                 int(self.binaries - unselected.sum()))
                 # the second solve only shrinks the schema at equal
                 # cost — it must never dominate the runtime, so its
-                # budget matches the phase-1 solve (floor 1s, cap 30s;
-                # the old fixed 30s wall routinely timed out having
-                # improved nothing) and its gap is loose (the objective
-                # is a small integer count); on failure or timeout the
-                # phase-1 solution is kept and _extract prunes unused
-                # column families
+                # budget matches the phase-1 solve (floor 1s, cap 30s)
+                # and its gap is loose (the objective is a small integer
+                # count); on failure or timeout the phase-1 solution is
+                # kept and _extract prunes unused column families
                 phase2_options = {
                     "mip_rel_gap": max(mip_rel_gap, 0.02),
                     "time_limit": min(
                         time_limit, 30.0,
                         max(1.0, phase1_seconds)),
                 }
-                bounds = self._phase2_bounds(best_cost, tolerance)
                 phase2_started = time.perf_counter()
                 try:
-                    result = self._solve(objective, [constraint],
-                                         phase2_options, bounds=bounds)
+                    result = self._solve(
+                        objective, [self._cost_cut(best_cost + tolerance)],
+                        phase2_options, bounds=Bounds(0, upper))
                 except OptimizationError:
                     # keep the phase-1 solution; _extract prunes it
                     if active.enabled:

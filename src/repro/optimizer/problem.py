@@ -7,6 +7,7 @@ from typing import NamedTuple
 from repro import dominance
 from repro.exceptions import OptimizationError
 from repro.planner.plans import UpdatePlan
+from repro.workload.digest import statement_signature
 
 
 class SchemaPrice(NamedTuple):
@@ -44,15 +45,40 @@ def _used_by(query_plans, update_plans):
     return frozenset(used)
 
 
+def _classes(plan_spaces, representative):
+    """One plan space per statement form: ``{representative: plans}``.
+
+    Statements with one :func:`statement_signature` have the same plan
+    space, so each form keeps its first statement's, in that statement's
+    position; ``representative`` maps every statement to its form's
+    first statement.
+    """
+    first = {}
+    spaces = {}
+    for statement, plans in plan_spaces.items():
+        head = first.setdefault(statement_signature(statement), statement)
+        representative[statement] = head
+        if head is statement:
+            spaces[statement] = plans
+    return spaces
+
+
 class OptimizationProblem:
     """Everything the optimizers need, in one container.
 
     ``query_plans`` maps each workload query to its (costed) plan space;
     ``update_plans`` maps each update to its list of
     :class:`~repro.planner.plans.UpdatePlan` (one per modified candidate
-    column family, support plans costed).  ``weights`` maps statements to
-    their workload weights.  ``space_limit`` optionally bounds the total
-    estimated size of the recommended schema in bytes.
+    column family, support plans costed).  ``weights`` maps statement
+    labels to their workload weights.  ``space_limit`` optionally bounds
+    the total estimated size of the recommended schema in bytes.
+
+    A workload is weighted statements (paper §III-B), so statements of
+    one form — one :func:`~repro.workload.digest.statement_signature`,
+    whatever their labels and parameter names — make one *statement
+    class*, weighing the sum of its members' weights.  ``query_classes``
+    and ``update_classes`` hold one plan space per class, keyed by its
+    first member, and ``classes`` lists each class's members.
     """
 
     def __init__(self, query_plans, update_plans, weights,
@@ -61,6 +87,18 @@ class OptimizationProblem:
         self.update_plans = dict(update_plans)
         self.weights = dict(weights)
         self.space_limit = space_limit
+        #: {statement: the first member of its class}, workload order
+        self.representative = {}
+        self.query_classes = _classes(self.query_plans,
+                                      self.representative)
+        self.update_classes = _classes(self.update_plans,
+                                       self.representative)
+        #: {representative: [members]}
+        self.classes = {}
+        for statement, head in self.representative.items():
+            self.classes.setdefault(head, []).append(statement)
+        #: {(class plan, member): the plan rebound to the member}
+        self._rebound = {}
         self._indexes = None
         for query, plans in self.query_plans.items():
             if not plans:
@@ -76,11 +114,11 @@ class OptimizationProblem:
         """
         if self._indexes is None:
             seen = {}
-            for plans in self.query_plans.values():
+            for plans in self.query_classes.values():
                 for plan in plans:
                     for index in plan.indexes:
                         seen.setdefault(index.key, index)
-            for update_plans in self.update_plans.values():
+            for update_plans in self.update_classes.values():
                 for update_plan in update_plans:
                     seen.setdefault(update_plan.index.key,
                                     update_plan.index)
@@ -97,6 +135,14 @@ class OptimizationProblem:
             raise OptimizationError(
                 f"no weight for statement {statement.label!r}") from None
 
+    def class_weight(self, representative):
+        """The weight of ``representative``'s class: its members' sum."""
+        first, *others = self.classes[representative]
+        weight = self.weight(first)
+        for member in others:
+            weight += self.weight(member)
+        return weight
+
     def set_weights(self, weights):
         """Replace the statement weights (plan spaces stay fixed).
 
@@ -105,8 +151,8 @@ class OptimizationProblem:
         program can be re-costed in place after this.
         """
         weights = dict(weights)
-        statements = list(self.query_plans) + list(self.update_plans)
-        missing = [s.label for s in statements if s.label not in weights]
+        missing = [s.label for s in self.representative
+                   if s.label not in weights]
         if missing:
             raise OptimizationError(
                 f"new weights miss statements: {sorted(missing)}")
@@ -119,9 +165,12 @@ class OptimizationProblem:
         maintained column family in ``keys`` adds its update cost plus
         the cheapest plan of each support query; cost ties break on plan
         signature, so the choice is reproducible across runs and hash
-        seeds.  Keys no plan space references are ignored.  Returns None
-        when some query or support query has no plan within ``keys`` or
-        the schema exceeds the space limit.  Requires costed plans.
+        seeds.  Plans are chosen once per statement class and rebound to
+        each member (:meth:`~repro.planner.plans.QueryPlan.rebind`); the
+        cost sums every member's weighted terms in workload order.  Keys
+        no plan space references are ignored.  Returns None when some
+        query or support query has no plan within ``keys`` or the schema
+        exceeds the space limit.  Requires costed plans.
         """
         indexes = self.indexes
         keys = frozenset(keys) & {index.key for index in indexes}
@@ -139,18 +188,17 @@ class OptimizationProblem:
                         best, best_rank = plan, rank
             return best
 
-        cost = 0.0
-        query_plans = {}
-        for query, plans in self.query_plans.items():
+        chosen_plans = {}
+        terms = {}  # representative -> unweighted costs, in sum order
+        for query, plans in self.query_classes.items():
             chosen = cheapest(plans)
             if chosen is None:
                 return None
-            query_plans[query] = chosen
-            cost += self.weight(query) * chosen.cost
-        update_plans = {}
-        for update, plans in self.update_plans.items():
-            weight = self.weight(update)
+            chosen_plans[query] = chosen
+            terms[query] = (chosen.cost,)
+        for update, plans in self.update_classes.items():
             kept = []
+            costs = terms[update] = []
             for update_plan in plans:
                 if update_plan.index.key not in keys:
                     continue
@@ -161,14 +209,34 @@ class OptimizationProblem:
                     if chosen is None:
                         return None
                     supports.append(chosen)
-                    cost += weight * chosen.cost
-                cost += weight * update_plan.update_cost
+                    costs.append(chosen.cost)
+                costs.append(update_plan.update_cost)
                 kept.append(UpdatePlan(update, update_plan.index, supports,
                                        update_plan.steps))
             if kept:
-                update_plans[update] = kept
+                chosen_plans[update] = kept
+        cost = 0.0
+        query_plans = {}
+        update_plans = {}
+        for statement, head in self.representative.items():
+            weight = self.weight(statement)
+            for term in terms[head]:
+                cost += weight * term
+            if head in self.query_classes:
+                query_plans[statement] = self._rebind(chosen_plans[head],
+                                                      statement)
+            elif head in chosen_plans:
+                update_plans[statement] = [plan.rebind(statement)
+                                           for plan in chosen_plans[head]]
         return SchemaPrice(cost, query_plans, update_plans,
                            _used_by(query_plans, update_plans))
+
+    def _rebind(self, plan, query):
+        """``plan.rebind(query)``, the same object on every call."""
+        rebound = self._rebound.get((plan, query))
+        if rebound is None:
+            rebound = self._rebound[plan, query] = plan.rebind(query)
+        return rebound
 
     @property
     def size(self):

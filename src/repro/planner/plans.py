@@ -2,7 +2,27 @@
 
 from __future__ import annotations
 
-from repro.planner.steps import DeleteStep, IndexLookupStep, InsertStep
+from repro.enumerator.support import support_queries
+from repro.planner.steps import (
+    DeleteStep,
+    FilterStep,
+    IndexLookupStep,
+    InsertStep,
+)
+
+
+def _rebind_steps(steps, query):
+    """``steps`` with every filter over ``query``'s own conditions."""
+    rebound = []
+    for step in steps:
+        if isinstance(step, FilterStep):
+            copy = FilterStep([query.condition_on(condition.field)
+                               for condition in step.conditions],
+                              step.input_cardinality, step.cardinality)
+            copy.cost = step.cost
+            step = copy
+        rebound.append(step)
+    return rebound
 
 
 class PlanSpace(list):
@@ -88,6 +108,23 @@ class QueryPlan:
             self._signature = "|".join(parts)
         return self._signature
 
+    def rebind(self, query):
+        """This plan, answering the structurally identical ``query``.
+
+        Statements of one form share a plan space, planned for whichever
+        of them came first.  The executor binds parameters through
+        ``plan.query`` and the filter conditions, and explain prints
+        both, so a plan handed to another statement of the form is a
+        copy over that statement's own conditions.  The steps are
+        otherwise shared, costs included.
+        """
+        if query is self.query:
+            return self
+        plan = QueryPlan(query, _rebind_steps(self.steps, query))
+        plan._cost = self._cost
+        plan._signature = self._signature
+        return plan
+
     def describe(self):
         lines = [f"Plan for {self.query.label or self.query}:"]
         lines.extend(f"  {i + 1}. {step.describe()}"
@@ -128,6 +165,18 @@ class UnionPlan(QueryPlan):
                          for step in self.tail_steps)
             self._signature = "|".join(parts)
         return self._signature
+
+    def rebind(self, query):
+        """Each branch plan rebound to ``query``'s branch query."""
+        if query is self.query:
+            return self
+        plan = UnionPlan(query, [
+            branch.rebind(branch_query) for branch, branch_query
+            in zip(self.branch_plans, query.branch_queries)],
+            self.tail_steps)
+        plan._cost = self._cost
+        plan._signature = self._signature
+        return plan
 
     def describe(self):
         lines = [f"Union plan for {self.query.label or self.query}:"]
@@ -206,6 +255,22 @@ class UpdatePlan:
                 grouped.setdefault(plan.query, []).append(plan)
             self._by_query = grouped
         return self._by_query
+
+    def rebind(self, update):
+        """This maintenance plan for the structurally identical
+        ``update``, over that update's own support queries (see
+        :meth:`QueryPlan.rebind`)."""
+        if update is self.update:
+            return self
+        supports = dict(zip(self.support_plans_by_query,
+                            support_queries(update, self.index)))
+        return UpdatePlan(
+            update, self.index,
+            [plan.rebind(supports[plan.query])
+             for plan in self.support_plans],
+            self.steps,
+            truncated_support=[supports[query]
+                               for query in self.truncated_support])
 
     def describe(self):
         label = self.update.label or str(self.update)
