@@ -48,10 +48,7 @@ def _workloads(model, seed, draw):
                                                    label=label)]
         repeats.extend((label, copy, weight) for copy, weight
                        in enumerate(weights[1:]))
-        total = weights[0]
-        for weight in weights[1:]:
-            total += weight
-        merged.add_statement(statement, weight=total, label=label)
+        merged.add_statement(statement, weight=sum(weights), label=label)
     # repeats follow every original, so classes interleave
     for label, copy, weight in repeats:
         members[label].append(duplicated.add_statement(
