@@ -844,10 +844,9 @@ class Advisor:
                 return kept, prune_record(query, len(plans), len(kept),
                                           removals)
 
-            # hit/miss is decided once up front: statements can share
-            # an artifact object (structurally identical statements hit
-            # the same store key), and a live re-check after the first
-            # write-back would desynchronize the result iterator
+            # hit/miss is decided once up front, before any write-back:
+            # the statements of one form share an artifact object, and
+            # all of them count as the miss their form was
             query_items = [
                 (query, plans, prepared.plan_artifacts.get(query))
                 for query, plans in prepared.query_plans.items()]
