@@ -24,7 +24,7 @@ import pathlib
 import time
 
 from repro import Advisor
-from repro.io import dump_windows
+from repro.io import dump_document
 from repro.windows import recommend_windows, rubis_drift_scenario
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -56,9 +56,9 @@ def test_windowed_schedule_beats_static_and_naive(tmp_path):
     meta = {"source": "rubis-drift", "users": USERS}
     document = recommendation.document(meta=meta)
     threaded, threaded_seconds = _run(jobs=2)
-    serial_path = dump_windows(document, tmp_path / "serial.json")
-    jobs_path = dump_windows(threaded.document(meta=meta),
-                             tmp_path / "jobs2.json")
+    serial_path = dump_document(document, tmp_path / "serial.json")
+    jobs_path = dump_document(threaded.document(meta=meta),
+                              tmp_path / "jobs2.json")
     byte_stable = pathlib.Path(serial_path).read_bytes() \
         == pathlib.Path(jobs_path).read_bytes()
 

@@ -54,6 +54,12 @@ from repro import telemetry
 from repro.advisor import Advisor
 from repro.cost import CassandraCostModel, SimpleCostModel
 from repro.exceptions import NoseError
+from repro.io import (
+    dump_document,
+    load_application,
+    load_document,
+    read_json,
+)
 
 
 def _load_demo(name, mix):
@@ -68,7 +74,7 @@ def _load_demo(name, mix):
     raise NoseError(f"unknown demo {name!r}; available: hotel, rubis")
 
 
-def _load_module(path, mix):
+def _load_module(path):
     spec = importlib.util.spec_from_file_location("nose_workload", path)
     if spec is None or spec.loader is None:
         raise NoseError(f"cannot load workload module {path!r}")
@@ -94,23 +100,44 @@ def _load_module(path, mix):
         raise NoseError(
             f"workload module {path!r} build() failed: "
             f"{type(error).__name__}: {error}") from error
+    return model, workload
+
+
+def _load_application(arguments, mix):
+    """``(model, workload)`` from ``--json`` or ``--model``, switched
+    to ``mix`` when one is given."""
+    if arguments.json_file:
+        model, workload = load_application(arguments.json_file)
+    else:
+        model, workload = _load_module(arguments.model)
     if mix:
         workload = workload.with_mix(mix)
     return model, workload
+
+
+def _add_source(parser, demos, demo_help, required=False, default=None):
+    """Add the ``--demo``/``--model``/``--json`` source group.
+
+    Returns the mutually exclusive group so a subcommand can add a
+    further source of its own (``verify --fuzz``).
+    """
+    source = parser.add_mutually_exclusive_group(required=required)
+    source.add_argument("--demo", choices=demos, default=default,
+                        help=demo_help)
+    source.add_argument("--model", metavar="FILE",
+                        help="Python file defining build() -> "
+                             "(model, workload)")
+    source.add_argument("--json", metavar="FILE", dest="json_file",
+                        help="JSON application document (see repro.io)")
+    return source
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nose-advisor",
         description="NoSE: recommend a NoSQL schema for a workload")
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--demo", choices=["hotel", "rubis"],
-                        help="use a bundled demo model and workload")
-    source.add_argument("--model", metavar="FILE",
-                        help="Python file defining build() -> "
-                             "(model, workload)")
-    source.add_argument("--json", metavar="FILE", dest="json_file",
-                        help="JSON application document (see repro.io)")
+    _add_source(parser, ["hotel", "rubis"],
+                "use a bundled demo model and workload", required=True)
     parser.add_argument("--mix", help="workload mix to optimize for")
     parser.add_argument("--space-limit", type=float, default=None,
                         metavar="BYTES",
@@ -173,14 +200,13 @@ def build_diff_parser():
 
 def run_diff(argv):
     arguments = build_diff_parser().parse_args(argv)
-    from repro.explain import diff_recommendations
-    from repro.io import load_explain
+    from repro.explain import EXPLAIN_FORMAT, diff_recommendations
     from repro.reporting import diff_report
     try:
-        base = load_explain(arguments.base)
-        other = load_explain(arguments.other)
+        base = load_document(arguments.base, EXPLAIN_FORMAT)
+        other = load_document(arguments.other, EXPLAIN_FORMAT)
         diff = diff_recommendations(base, other)
-    except (NoseError, OSError, ValueError) as error:
+    except NoseError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(diff_report(diff))
@@ -208,15 +234,9 @@ def build_verify_parser():
                     "them through the in-memory engine and a reference "
                     "interpreter side by side and compare answers. "
                     "Exits 2 on divergence, 1 on error.")
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--demo", choices=["hotel", "rubis"],
-                        help="verify one bundled demo (default: both "
-                             "hotel and rubis bidding)")
-    source.add_argument("--model", metavar="FILE",
-                        help="Python file defining build() -> "
-                             "(model, workload)")
-    source.add_argument("--json", metavar="FILE", dest="json_file",
-                        help="JSON application document (see repro.io)")
+    source = _add_source(parser, ["hotel", "rubis"],
+                         "verify one bundled demo (default: both "
+                         "hotel and rubis bidding)")
     source.add_argument("--fuzz", type=int, metavar="TRIALS",
                         help="instead of a fixed application, run "
                              "TRIALS random model/workload/dataset "
@@ -251,28 +271,44 @@ def build_verify_parser():
     return parser
 
 
-def _verify_demo(name, arguments, protocols):
-    """Run the oracle over one bundled demo; returns a report dict."""
-    from repro.verify import verify_recommendation
-    requests_factory = None
-    if name == "hotel":
+def _replay_inputs(arguments, demo):
+    """``(model, workload, dataset, mix)`` for a replaying subcommand.
+
+    A bundled ``demo`` is built at ``--scale`` with its own dataset;
+    otherwise the ``--json``/``--model`` application gets a random
+    dataset.  ``mix`` is set only for RuBiS, whose requests are drawn
+    per transaction from that mix.
+    """
+    if demo is None:
+        from repro.randgen import random_dataset
+        model, workload = _load_application(arguments, arguments.mix)
+        return (model, workload,
+                random_dataset(model, seed=arguments.seed), None)
+    if demo == "hotel":
         from repro.demo import hotel_model, hotel_workload
         from repro.demo.hotel import hotel_dataset
         model = hotel_model(scale=arguments.scale)
         workload = hotel_workload(model, include_updates=True)
-        dataset = hotel_dataset(model, seed=arguments.seed)
-    else:
-        from repro.rubis import rubis_model, rubis_workload
-        from repro.rubis.datagen import (
-            RubisParameterGenerator,
-            generate_dataset,
-        )
+        return (model, workload,
+                hotel_dataset(model, seed=arguments.seed), None)
+    from repro.rubis import rubis_model, rubis_workload
+    from repro.rubis.datagen import generate_dataset
+    mix = arguments.mix or "bidding"
+    model = rubis_model(users=max(int(20_000 * arguments.scale), 100))
+    workload = rubis_workload(model, mix=mix)
+    return (model, workload,
+            generate_dataset(model, seed=arguments.seed + 7), mix)
+
+
+def _verify(arguments, protocols, demo=None):
+    """Run the oracle over one demo or the given application; returns
+    a report dict."""
+    from repro.verify import verify_recommendation
+    model, workload, dataset, mix = _replay_inputs(arguments, demo)
+    requests_factory = None
+    if mix is not None:
+        from repro.rubis.datagen import RubisParameterGenerator
         from repro.rubis.transactions import transaction_weights
-        mix = arguments.mix or "bidding"
-        users = max(int(20_000 * arguments.scale), 100)
-        model = rubis_model(users=users)
-        workload = rubis_workload(model, mix=mix)
-        dataset = generate_dataset(model, seed=arguments.seed + 7)
         transactions = sorted(transaction_weights(mix))
 
         def requests_factory(live, seed):
@@ -296,20 +332,6 @@ def _verify_demo(name, arguments, protocols):
         shrink=not arguments.no_shrink)
 
 
-def _verify_application(model, workload, arguments, protocols):
-    """Run the oracle over a user-supplied application."""
-    from repro.randgen import random_dataset
-    from repro.verify import verify_recommendation
-    dataset = random_dataset(model, seed=arguments.seed)
-    dataset.sync_counts()
-    recommendation = Advisor(model, max_plans=arguments.max_plans) \
-        .recommend(workload)
-    return verify_recommendation(
-        model, workload, recommendation, dataset, seed=arguments.seed,
-        rounds=arguments.rounds, protocols=protocols,
-        shrink=not arguments.no_shrink)
-
-
 def run_verify(argv):
     arguments = build_verify_parser().parse_args(argv)
     from repro.reporting import verify_report
@@ -330,21 +352,12 @@ def run_verify(argv):
                 "ok": all(trial.ok for trial in trials),
             }}
         elif arguments.model or arguments.json_file:
-            if arguments.json_file:
-                from repro.io import load_application
-                model, workload = load_application(arguments.json_file)
-                if arguments.mix:
-                    workload = workload.with_mix(arguments.mix)
-            else:
-                model, workload = _load_module(arguments.model,
-                                               arguments.mix)
             name = arguments.json_file or arguments.model
-            reports = {name: _verify_application(
-                model, workload, arguments, protocols)}
+            reports = {name: _verify(arguments, protocols)}
         else:
             targets = [arguments.demo] if arguments.demo \
                 else ["hotel", "rubis"]
-            reports = {name: _verify_demo(name, arguments, protocols)
+            reports = {name: _verify(arguments, protocols, demo=name)
                        for name in targets}
     except NoseError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -378,15 +391,9 @@ def build_profile_parser():
                     "execution engine with a flight recorder attached "
                     "and report measured-vs-predicted cost accuracy "
                     "(a nose-profile/1 document).")
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--demo", choices=["hotel", "rubis"],
-                        default="hotel",
-                        help="profile a bundled demo (default: hotel)")
-    source.add_argument("--model", metavar="FILE",
-                        help="Python file defining build() -> "
-                             "(model, workload)")
-    source.add_argument("--json", metavar="FILE", dest="json_file",
-                        help="JSON application document (see repro.io)")
+    _add_source(parser, ["hotel", "rubis"],
+                "profile a bundled demo (default: hotel)",
+                default="hotel")
     parser.add_argument("--mix", help="workload mix to profile under")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for datasets and parameter bindings "
@@ -408,80 +415,48 @@ def build_profile_parser():
     return parser
 
 
-def _profile_demo(name, arguments):
-    """Build (model, workload, dataset, requests_factory) for a demo."""
-    requests_factory = None
-    if name == "hotel":
-        from repro.demo import hotel_model, hotel_workload
-        from repro.demo.hotel import hotel_dataset
-        model = hotel_model(scale=arguments.scale)
-        workload = hotel_workload(model, include_updates=True)
-        dataset = hotel_dataset(model, seed=arguments.seed)
-    else:
-        from repro.rubis import rubis_model, rubis_workload
-        from repro.rubis.datagen import (
-            RubisParameterGenerator,
-            generate_dataset,
-        )
-        from repro.rubis.transactions import (
-            TRANSACTIONS,
-            transaction_weights,
-        )
-        mix = arguments.mix or "bidding"
-        users = max(int(20_000 * arguments.scale), 100)
-        model = rubis_model(users=users)
-        workload = rubis_workload(model, mix=mix)
-        dataset = generate_dataset(model, seed=arguments.seed + 7)
-        weights = transaction_weights(mix)
+def _profile_requests(dataset, mix):
+    """A RuBiS request factory replaying ``mix``'s transactions."""
+    from repro.rubis.datagen import RubisParameterGenerator
+    from repro.rubis.transactions import TRANSACTIONS, transaction_weights
+    weights = transaction_weights(mix)
 
-        def requests_factory(count, seed):
-            # a transaction schedule proportional to the mix, replayed
-            # with coherent per-transaction parameters drawn from the
-            # live data — the way the benchmark harness issues requests
-            generator = RubisParameterGenerator(dataset, seed=seed + 11)
-            schedule = []
-            for transaction in sorted(weights):
-                repeats = max(1, round(count * weights[transaction]
-                                       / len(TRANSACTIONS[transaction])))
-                schedule.append((transaction, repeats))
-            out = []
-            remaining = dict(schedule)
-            while remaining:
-                for transaction, _repeats in schedule:
-                    left = remaining.get(transaction)
-                    if left is None:
-                        continue
-                    out.extend(generator.requests_for(transaction))
-                    if left <= 1:
-                        del remaining[transaction]
-                    else:
-                        remaining[transaction] = left - 1
-            return out
-    return model, workload, dataset, requests_factory
+    def requests_factory(count, seed):
+        # a transaction schedule proportional to the mix, replayed
+        # with coherent per-transaction parameters drawn from the
+        # live data — the way the benchmark harness issues requests
+        generator = RubisParameterGenerator(dataset, seed=seed + 11)
+        schedule = []
+        for transaction in sorted(weights):
+            repeats = max(1, round(count * weights[transaction]
+                                   / len(TRANSACTIONS[transaction])))
+            schedule.append((transaction, repeats))
+        out = []
+        remaining = dict(schedule)
+        while remaining:
+            for transaction, _repeats in schedule:
+                left = remaining.get(transaction)
+                if left is None:
+                    continue
+                out.extend(generator.requests_for(transaction))
+                if left <= 1:
+                    del remaining[transaction]
+                else:
+                    remaining[transaction] = left - 1
+        return out
+    return requests_factory
 
 
 def run_profile(argv):
     arguments = build_profile_parser().parse_args(argv)
     from repro.profile import profile_recommendation
     from repro.reporting import profile_report
+    source = arguments.json_file or arguments.model
     try:
-        if arguments.model or arguments.json_file:
-            if arguments.json_file:
-                from repro.io import load_application
-                model, workload = load_application(arguments.json_file)
-                if arguments.mix:
-                    workload = workload.with_mix(arguments.mix)
-            else:
-                model, workload = _load_module(arguments.model,
-                                               arguments.mix)
-            from repro.randgen import random_dataset
-            dataset = random_dataset(model, seed=arguments.seed)
-            requests_factory = None
-            source = arguments.json_file or arguments.model
-        else:
-            source = arguments.demo
-            model, workload, dataset, requests_factory = \
-                _profile_demo(arguments.demo, arguments)
+        model, workload, dataset, mix = _replay_inputs(
+            arguments, None if source else arguments.demo)
+        requests_factory = None if mix is None \
+            else _profile_requests(dataset, mix)
         dataset.sync_counts()
         recommendation = Advisor(model, max_plans=arguments.max_plans) \
             .recommend(workload)
@@ -490,14 +465,14 @@ def run_profile(argv):
             seed=arguments.seed, requests=arguments.requests,
             protocol=arguments.protocol,
             requests_factory=requests_factory,
-            meta={"source": source, "mix": workload.active_mix})
+            meta={"source": source or arguments.demo,
+                  "mix": workload.active_mix})
     except NoseError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(profile_report(document))
     if arguments.output_json:
-        from repro.io import dump_profile
-        dump_profile(document, arguments.output_json)
+        dump_document(document, arguments.output_json)
         print(f"\nprofile written to {arguments.output_json}")
     return 0
 
@@ -512,20 +487,15 @@ def build_monitor_parser():
                     "and price the regret of standing still (a "
                     "nose-monitor/1 document).  Exits 3 when drift "
                     "was detected.")
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--demo", choices=["drift"],
-                        help="run the bundled RUBiS browsing->bidding "
-                             "drift scenario")
-    source.add_argument("--trace-in", metavar="FILE",
+    # --trace-in needs --model or --json beside it, so it stays out of
+    # the source group; run_monitor rejects it with --demo
+    _add_source(parser, ["drift"],
+                "run the bundled RUBiS browsing->bidding drift scenario")
+    parser.add_argument("--trace-in", metavar="FILE",
                         help="replay a recorded statement trace (JSON "
                              "list of {label, time?, count?} events) "
-                             "against the advised workload")
-    parser.add_argument("--model", metavar="FILE",
-                        help="Python file defining build() -> "
-                             "(model, workload) — the advised workload "
-                             "a trace is compared against")
-    parser.add_argument("--json", metavar="FILE", dest="json_file",
-                        help="JSON application document (see repro.io)")
+                             "against the advised workload given by "
+                             "--model or --json")
     parser.add_argument("--mix", help="advised workload mix")
     parser.add_argument("--half-life", type=float, default=None,
                         metavar="REQUESTS",
@@ -575,29 +545,19 @@ def _monitor_trace(arguments, capture=None):
     (advisor, workload, recommendation, monitor) the replan bridge
     needs after the document is assembled.
     """
-    import json as json_module
-
     from repro.monitor import (
         DriftDetector,
         WorkloadMonitor,
         estimate_regret,
         monitor_document,
     )
-    if arguments.json_file:
-        from repro.io import load_application
-        model, workload = load_application(arguments.json_file)
-        if arguments.mix:
-            workload = workload.with_mix(arguments.mix)
-        source = arguments.json_file
-    elif arguments.model:
-        model, workload = _load_module(arguments.model, arguments.mix)
-        source = arguments.model
-    else:
+    source = arguments.json_file or arguments.model
+    if not source:
         raise NoseError(
             "--trace-in needs the advised workload: pass --model or "
             "--json")
-    with open(arguments.trace_in) as handle:
-        trace = json_module.load(handle)
+    model, workload = _load_application(arguments, arguments.mix)
+    trace = read_json(arguments.trace_in)
     events = trace.get("events", trace) if isinstance(trace, dict) \
         else trace
     if not isinstance(events, list):
@@ -632,7 +592,11 @@ def _monitor_trace(arguments, capture=None):
 
 
 def run_monitor(argv):
-    arguments = build_monitor_parser().parse_args(argv)
+    parser = build_monitor_parser()
+    arguments = parser.parse_args(argv)
+    if arguments.demo and arguments.trace_in:
+        parser.error("argument --trace-in: not allowed with argument "
+                     "--demo")
     from repro.reporting import monitor_report
     try:
         if not arguments.demo and not arguments.trace_in:
@@ -674,19 +638,17 @@ def run_monitor(argv):
         print()
         print(replan.describe())
         if arguments.replan_out:
-            from repro.io import dump_windows
             from repro.windows import windows_document
             replan_doc = windows_document(replan, meta={
                 "source": "monitor-replan",
                 "advised_mix": document["meta"].get("advised_mix")})
-            dump_windows(replan_doc, arguments.replan_out)
+            dump_document(replan_doc, arguments.replan_out)
             print(f"\nreplan decision written to {arguments.replan_out}")
     if arguments.trace and sink is not None and sink.enabled:
         print()
         print(sink.report(meta={"command": "monitor"}).render())
     if arguments.output_json:
-        from repro.io import dump_monitor
-        dump_monitor(document, arguments.output_json)
+        dump_document(document, arguments.output_json)
         print(f"\nmonitor document written to {arguments.output_json}")
     drift = document.get("drift", {})
     if drift.get("weight_alert") or drift.get("structural_alert"):
@@ -707,15 +669,9 @@ def build_windows_parser():
                     "(a nose-windows/1 document).  Exits 2 if the "
                     "windowed schedule costs more than the static or "
                     "naive-per-window baselines.")
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--demo", choices=["rubis-drift"],
-                        help="run the bundled RUBiS browsing->bidding->"
-                             "browsing drift schedule")
-    source.add_argument("--model", metavar="FILE",
-                        help="Python file defining build() -> "
-                             "(model, workload)")
-    source.add_argument("--json", metavar="FILE", dest="json_file",
-                        help="JSON application document (see repro.io)")
+    _add_source(parser, ["rubis-drift"],
+                "run the bundled RUBiS browsing->bidding->browsing "
+                "drift schedule", required=True)
     parser.add_argument("--windows", metavar="SPEC",
                         help="comma-separated mix:requests windows, "
                              "e.g. 'browsing:800,bidding:1200' "
@@ -780,13 +736,8 @@ def run_windows(argv):
                 raise NoseError(
                     "pass --windows 'mix:requests,...' with "
                     "--model/--json")
-            if arguments.json_file:
-                from repro.io import load_application
-                model, workload = load_application(arguments.json_file)
-            else:
-                model, workload = _load_module(arguments.model, None)
-            source = arguments.json_file or arguments.model
-            meta = {"source": source}
+            model, workload = _load_application(arguments, None)
+            meta = {"source": arguments.json_file or arguments.model}
         if arguments.windows:
             schedule = parse_window_spec(arguments.windows)
         advisor = Advisor(model, max_plans=arguments.max_plans,
@@ -808,8 +759,7 @@ def run_windows(argv):
         for stage, seconds in recommendation.timing.items():
             print(f"  {stage:<18} {seconds:.3f}")
     if arguments.output_json:
-        from repro.io import dump_windows
-        dump_windows(document, arguments.output_json)
+        dump_document(document, arguments.output_json)
         print(f"\nwindows document written to {arguments.output_json}")
     windowed = document["totals"]["total_cost"]
     best = min(entry["total_cost"]
@@ -824,32 +774,28 @@ def run_windows(argv):
     return 0
 
 
+_SUBCOMMANDS = {
+    "diff": run_diff,
+    "verify": run_verify,
+    "profile": run_profile,
+    "monitor": run_monitor,
+    "windows": run_windows,
+}
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "diff":
-        return run_diff(argv[1:])
-    if argv and argv[0] == "verify":
-        return run_verify(argv[1:])
-    if argv and argv[0] == "profile":
-        return run_profile(argv[1:])
-    if argv and argv[0] == "monitor":
-        return run_monitor(argv[1:])
-    if argv and argv[0] == "windows":
-        return run_windows(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:])
     parser = build_parser()
     arguments = parser.parse_args(argv)
     report = None
     try:
         if arguments.demo:
             model, workload = _load_demo(arguments.demo, arguments.mix)
-        elif arguments.json_file:
-            from repro.io import load_application
-            model, workload = load_application(arguments.json_file)
-            if arguments.mix:
-                workload = workload.with_mix(arguments.mix)
         else:
-            model, workload = _load_module(arguments.model, arguments.mix)
+            model, workload = _load_application(arguments, arguments.mix)
         cost_model = CassandraCostModel() \
             if arguments.cost_model == "cassandra" else SimpleCostModel()
         advisor = Advisor(model, cost_model=cost_model,
@@ -888,8 +834,8 @@ def main(argv=None):
         print()
         print(recommendation.as_cql())
     if arguments.output_json:
-        from repro.io import dump_explain
-        dump_explain(recommendation, arguments.output_json)
+        dump_document(recommendation.explain_document(),
+                      arguments.output_json)
         print(f"\nrecommendation written to {arguments.output_json}")
     if arguments.timing:
         print()
@@ -916,8 +862,7 @@ def main(argv=None):
                   "recorded")
     if arguments.metrics_out and report is not None:
         if report.meta.get("enabled"):
-            from repro.io import dump_run_report
-            dump_run_report(report, arguments.metrics_out)
+            dump_document(report.as_dict(), arguments.metrics_out)
             print(f"\ntelemetry report written to "
                   f"{arguments.metrics_out}")
         else:

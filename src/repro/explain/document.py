@@ -17,8 +17,9 @@ recommendations) and reports index-set changes, per-statement plan and
 cost changes, and the total-cost regression — the artifact a CI job
 checks with ``nose-advisor diff --fail-on-regression``.
 
-Documents round-trip through :func:`repro.io.dump_explain` /
-``load_explain``; renderers live in :mod:`repro.reporting`.
+Documents round-trip through :func:`repro.io.dump_document` /
+:func:`repro.io.load_document`; renderers live in
+:mod:`repro.reporting`.
 """
 
 from __future__ import annotations

@@ -1,50 +1,36 @@
-"""Serialization of models, workloads, and recommendations.
+"""Reading and writing the advisor's JSON files.
 
-The original prototype loaded applications from workload definition
-files; this package provides the equivalent: a stable JSON document
-format for conceptual models and weighted workloads (round-trippable),
-plus loaders used by the command line and the telemetry run-report
-format.
+Two kinds of file cross this boundary.  An *application* document
+holds a conceptual model and a weighted workload — the advisor's
+input, loaded by ``--json`` on the command line (``load_application``
+/ ``dump_application``).  A *tagged document* is one of the advisor's
+outputs — explain, profile, run report, windows or monitor — each
+carrying its own ``"format"`` tag; every one of them is written by
+``dump_document`` and read back by ``load_document``.  A file that
+cannot be read, is not valid JSON or has the wrong shape or tag raises
+a :class:`~repro.exceptions.ParseError` naming its path.
 """
 
 from repro.io.serialize import (
     dump_application,
-    dump_explain,
-    dump_monitor,
-    dump_profile,
-    dump_run_report,
-    dump_windows,
+    dump_document,
     load_application,
-    load_explain,
-    load_monitor,
-    load_profile,
-    load_run_report,
-    load_windows,
+    load_document,
     model_from_dict,
     model_to_dict,
-    run_report_from_dict,
-    run_report_to_dict,
+    read_json,
     workload_from_dict,
     workload_to_dict,
 )
 
 __all__ = [
     "dump_application",
-    "dump_explain",
-    "dump_monitor",
-    "dump_profile",
-    "dump_run_report",
-    "dump_windows",
+    "dump_document",
     "load_application",
-    "load_explain",
-    "load_monitor",
-    "load_profile",
-    "load_run_report",
-    "load_windows",
+    "load_document",
     "model_from_dict",
     "model_to_dict",
-    "run_report_from_dict",
-    "run_report_to_dict",
+    "read_json",
     "workload_from_dict",
     "workload_to_dict",
 ]

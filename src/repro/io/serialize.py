@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 
-from repro.exceptions import ModelError, ParseError
+from repro.exceptions import ModelError, NoseError, ParseError
 from repro.model import (
     BooleanField,
     DateField,
@@ -199,16 +199,58 @@ def workload_from_dict(model, document):
     return workload
 
 
+# -- reading JSON -------------------------------------------------------------
+
+
+def read_json(path, kind=None):
+    """Parse the JSON file at ``path``; every failure names the path.
+
+    A missing or unreadable file and invalid JSON (with its line and
+    column) raise :class:`~repro.exceptions.ParseError`.  With ``kind``
+    the top level must be an object; ``kind`` names the expected
+    document in the error.
+    """
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except OSError as error:
+        raise ParseError(
+            f"cannot read {path}: {error.strerror or error}") from None
+    except UnicodeDecodeError as error:
+        raise ParseError(f"{path} is not a text file: {error}") from None
+    except json.JSONDecodeError as error:
+        raise ParseError(
+            f"{path} is not valid JSON (line {error.lineno}, column "
+            f"{error.colno}): {error.msg}") from None
+    if kind is None:
+        return document
+    if not isinstance(document, dict):
+        raise ParseError(
+            f"{path}: expected a JSON object ({kind} document), found "
+            f"{type(document).__name__}")
+    return document
+
+
 # -- applications ------------------------------------------------------------------
 
 
 def load_application(path):
     """Load ``(model, workload)`` from a JSON application file."""
-    with open(path) as handle:
-        document = json.load(handle)
-    model = model_from_dict(document["model"])
-    workload = workload_from_dict(model, document.get(
-        "workload", {"statements": []}))
+    document = read_json(path, "application")
+    if "model" not in document:
+        raise ParseError(f"{path}: missing 'model' key (application "
+                         "document)")
+    try:
+        model = model_from_dict(document["model"])
+        workload = workload_from_dict(model, document.get(
+            "workload", {"statements": []}))
+    except NoseError as error:
+        raise type(error)(f"{path}: {error}") from error
+    except (AttributeError, TypeError) as error:
+        # a value of the wrong JSON type somewhere in the document
+        raise ParseError(
+            f"{path} is not a valid application document: {error}") \
+            from None
     return model, workload
 
 
@@ -221,170 +263,47 @@ def dump_application(model, workload, path):
     return path
 
 
-# -- document version checks -----------------------------------------------
+# -- tagged documents ---------------------------------------------------------
 
 
-def _check_format(document, supported, path, kind, required=False):
-    """Reject documents whose declared version is not ``supported``.
+def dump_document(document, path):
+    """Write a tagged document (explain, profile, run report, windows,
+    monitor) as stable JSON.
 
-    ``supported`` is the accepted format tag (e.g. "nose-explain/1").
-    A document with no ``format`` field is accepted unless ``required``
-    — explain/profile/run-report files predating the tag still load;
-    the monitor format has carried its tag from day one, so there it is
-    mandatory.
+    Keys are sorted and a trailing newline appended, so two dumps of
+    the same document — and serial and ``jobs=N`` runs that produce
+    it — are byte-for-byte identical: the property ``nose-advisor
+    diff`` and CI artifact comparison rely on.
     """
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
+def load_document(path, expected_format):
+    """Load a document written by :func:`dump_document`.
+
+    The file must hold a JSON object tagged ``expected_format`` (e.g.
+    ``"nose-explain/1"``).  Explain, profile and run-report files
+    predate the tag, so for those an untagged file is read as the
+    current version; windows and monitor carried their tag from day
+    one.  Anything else raises :class:`~repro.exceptions.ParseError`
+    naming the path.
+    """
+    from repro.explain.document import EXPLAIN_FORMAT
+    from repro.profile.report import PROFILE_FORMAT
+    from repro.telemetry import RUN_REPORT_FORMAT
+    kind = expected_format.split("/")[0].removeprefix("nose-")
+    document = read_json(path, kind)
     found = document.get("format")
     if found is None:
-        if required:
-            raise ValueError(
-                f"{path} is not a {kind} document: missing 'format' "
-                f"field (expected {supported!r})")
-        return document
-    if found != supported:
-        raise ValueError(
+        if expected_format not in (EXPLAIN_FORMAT, PROFILE_FORMAT,
+                                   RUN_REPORT_FORMAT):
+            raise ParseError(f"{path}: missing 'format' field "
+                             f"(expected {expected_format!r})")
+    elif found != expected_format:
+        raise ParseError(
             f"{path} declares unsupported {kind} document version "
-            f"{found!r}; supported: {supported!r}")
+            f"{found!r}; supported: {expected_format!r}")
     return document
-
-
-# -- explain documents ----------------------------------------------------------
-
-
-def dump_explain(document, path):
-    """Write an explain document (or a recommendation) as stable JSON.
-
-    Keys are sorted so two dumps of the same decision are byte-for-byte
-    identical — the property ``nose-advisor diff`` and CI artifact
-    comparison rely on.  Accepts either a prepared document dict or a
-    :class:`~repro.optimizer.results.SchemaRecommendation`.
-    """
-    if not isinstance(document, dict):
-        document = document.explain_document()
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_explain(path):
-    """Load an explain document from a JSON file."""
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ParseError(f"{path} is not an explain document")
-    from repro.explain.document import EXPLAIN_FORMAT
-    return _check_format(document, EXPLAIN_FORMAT, path, "explain")
-
-
-# -- profile documents ----------------------------------------------------------
-
-
-def dump_profile(document, path):
-    """Write a "nose-profile/1" accuracy report as stable JSON.
-
-    Keys are sorted for diffability, matching :func:`dump_explain`.
-    """
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_profile(path):
-    """Load a profile document from a JSON file."""
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ParseError(f"{path} is not a profile document")
-    from repro.profile.report import PROFILE_FORMAT
-    return _check_format(document, PROFILE_FORMAT, path, "profile")
-
-
-# -- telemetry run reports ------------------------------------------------------
-
-
-def run_report_to_dict(report):
-    """Serialize a :class:`repro.telemetry.RunReport`."""
-    return report.as_dict()
-
-
-def run_report_from_dict(document):
-    """Rebuild a run report from its document form."""
-    from repro.telemetry import RunReport
-    return RunReport.from_dict(document)
-
-
-def dump_run_report(report, path):
-    """Write a telemetry run report as a diffable JSON file."""
-    with open(path, "w") as handle:
-        json.dump(run_report_to_dict(report), handle, indent=2)
-        handle.write("\n")
-    return path
-
-
-def load_run_report(path):
-    """Load a telemetry run report from a JSON file."""
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ParseError(f"{path} is not a run-report document")
-    from repro.telemetry import RUN_REPORT_FORMAT
-    _check_format(document, RUN_REPORT_FORMAT, path, "run-report")
-    return run_report_from_dict(document)
-
-
-# -- windows documents ------------------------------------------------------------
-
-
-def dump_windows(document, path):
-    """Write a "nose-windows/1" schedule document as stable JSON.
-
-    Accepts either a prepared document dict or a
-    :class:`~repro.windows.advisor.WindowedRecommendation`.  Keys are
-    sorted and a trailing newline appended, so serial and ``jobs=N``
-    windowed runs of the same schedule are byte-identical on disk.
-    """
-    if not isinstance(document, dict):
-        document = document.document()
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_windows(path):
-    """Load a windows document from a JSON file (format required)."""
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ParseError(f"{path} is not a windows document")
-    from repro.windows.document import WINDOWS_FORMAT
-    return _check_format(document, WINDOWS_FORMAT, path, "windows",
-                         required=True)
-
-
-# -- monitor documents -----------------------------------------------------------
-
-
-def dump_monitor(document, path):
-    """Write a "nose-monitor/1" drift document as stable JSON.
-
-    Keys are sorted and a trailing newline appended, matching the
-    other document dumpers, so serial and ``jobs=N`` monitored runs of
-    the same traffic produce byte-identical files.
-    """
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def load_monitor(path):
-    """Load a monitor document from a JSON file (format required)."""
-    with open(path) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ParseError(f"{path} is not a monitor document")
-    from repro.monitor.document import MONITOR_FORMAT
-    return _check_format(document, MONITOR_FORMAT, path, "monitor",
-                         required=True)

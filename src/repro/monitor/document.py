@@ -6,7 +6,7 @@ section into a single JSON-able document.  Everything in it is
 deterministic — logical-clock timestamps, digest-sorted lists, rounded
 floats, no wall-clock — so serial and ``jobs=N`` monitored runs
 serialize byte-identically through
-:func:`repro.io.serialize.dump_monitor`.
+:func:`repro.io.dump_document`.
 """
 
 from __future__ import annotations

@@ -649,8 +649,8 @@ class RunReport:
     (sections and names sorted); ``meta`` carries run-level facts
     (total seconds, whether telemetry was enabled).  Key order is
     deterministic everywhere so two reports diff cleanly.  Round-trips
-    through :func:`repro.io.serialize.dump_run_report` /
-    ``load_run_report``.
+    through :func:`repro.io.dump_document` (of :meth:`as_dict`) and
+    :meth:`from_dict` (of :func:`repro.io.load_document`).
     """
 
     def __init__(self, spans, metrics, meta=None, events=None):

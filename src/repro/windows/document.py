@@ -8,7 +8,7 @@ costs and statement costs, the migration steps between windows (create
 scored by the same evaluator.  Everything is deterministic — sorted
 key lists, rounded floats, no wall-clock — so serial and ``jobs=N``
 runs serialize byte-identically through
-:func:`repro.io.serialize.dump_windows`.
+:func:`repro.io.dump_document`.
 """
 
 from __future__ import annotations

@@ -149,3 +149,24 @@ def test_total_by_default_round_trips():
     for entity in rebuilt.entities.values():
         for key in entity.foreign_keys:
             assert key.total is True
+
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (None, ParseError, "cannot read"),
+    ('{"model": {', ParseError, "not valid JSON (line 1, column 12)"),
+    ("[]", ParseError, "expected a JSON object"),
+    ('{"workload": {}}', ParseError, "missing 'model' key"),
+    ('{"model": {"entities": "oops"}}', ParseError,
+     "not a valid application"),
+    ('{"model": {"name": "m"}}', ModelError, "missing key 'entities'"),
+])
+def test_load_application_errors_name_the_path(tmp_path, text, error,
+                                               message):
+    path = tmp_path / "app.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(error) as caught:
+        load_application(path)
+    assert message in str(caught.value)
+    assert str(path) in str(caught.value)

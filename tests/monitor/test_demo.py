@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.io import dump_monitor, load_monitor
-from repro.monitor import drift_demo
+from repro.io import dump_document, load_document
+from repro.monitor import MONITOR_FORMAT, drift_demo
 
 DEMO_KWARGS = dict(requests=200, users=400, seed=0)
 
@@ -59,12 +59,12 @@ def test_demo_deterministic_and_byte_stable_across_jobs(tmp_path,
     parallel = drift_demo(jobs=2, **DEMO_KWARGS)
     serial_path = tmp_path / "serial.json"
     jobs_path = tmp_path / "jobs2.json"
-    dump_monitor(document, str(serial_path))
-    dump_monitor(parallel, str(jobs_path))
+    dump_document(document, str(serial_path))
+    dump_document(parallel, str(jobs_path))
     assert serial_path.read_bytes() == jobs_path.read_bytes()
-    reloaded = load_monitor(str(serial_path))
+    reloaded = load_document(str(serial_path), MONITOR_FORMAT)
     round_trip = tmp_path / "round.json"
-    dump_monitor(reloaded, str(round_trip))
+    dump_document(reloaded, str(round_trip))
     assert round_trip.read_bytes() == serial_path.read_bytes()
 
 

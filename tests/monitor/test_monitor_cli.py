@@ -41,11 +41,12 @@ def test_demo_output_json_is_a_monitor_document(demo_run, tmp_path):
     _code, output, document = demo_run
     assert "monitor document written to" in output
     assert document["format"] == "nose-monitor/1"
-    from repro.io import dump_monitor, load_monitor
+    from repro.io import dump_document, load_document
+    from repro.monitor import MONITOR_FORMAT
 
     path = tmp_path / "round.json"
-    dump_monitor(document, str(path))
-    assert load_monitor(str(path)) == document
+    dump_document(document, str(path))
+    assert load_document(str(path), MONITOR_FORMAT) == document
 
 
 def test_monitor_requires_a_source(capsys):
@@ -137,3 +138,26 @@ def test_monitor_trace_flag_prints_run_report(tmp_path, capsys,
     assert "run report" in output
     assert "monitor.checks" in output
     assert "monitor.weight_alert" in output
+
+
+def test_model_and_json_are_exclusive(tmp_path):
+    # --json used to win silently over --model
+    with pytest.raises(SystemExit):
+        main(["monitor", "--trace-in", "t.json",
+              "--model", _hotel_module(tmp_path), "--json", "app.json"])
+
+
+def test_trace_in_is_not_allowed_with_demo(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["monitor", "--demo", "drift", "--trace-in", "t.json"])
+
+
+def test_trace_in_missing_file_names_the_path(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code = main(["monitor", "--trace-in", str(missing),
+                 "--model", _hotel_module(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert str(missing) in captured.err
+    assert "Traceback" not in captured.err

@@ -96,8 +96,9 @@ def test_metrics_out_writes_round_trippable_report(tmp_path, capsys):
     assert main(["--demo", "hotel", "--cost-model", "simple",
                  "--metrics-out", str(target)]) == 0
     assert "telemetry report written" in capsys.readouterr().out
-    from repro.io import load_run_report
-    report = load_run_report(target)
+    from repro.io import load_document
+    from repro.telemetry import RUN_REPORT_FORMAT, RunReport
+    report = RunReport.from_dict(load_document(target, RUN_REPORT_FORMAT))
     assert report.meta["enabled"] is True
     assert report.stage_totals()["recommend"] > 0
     assert report.metrics["counters"]["enumerator.queries"] > 0
@@ -182,7 +183,9 @@ def test_diff_fail_on_regression_within_threshold(tmp_path, capsys):
 def test_diff_missing_file_is_an_error(tmp_path, capsys):
     base, _other = _write_documents(tmp_path)
     assert main(["diff", str(base), str(tmp_path / "missing.json")]) == 1
-    assert "error:" in capsys.readouterr().err
+    error = capsys.readouterr().err
+    assert "error:" in error
+    assert "missing.json" in error
 
 
 def test_unknown_demo_rejected():
@@ -247,9 +250,10 @@ def test_profile_hotel_demo_writes_document(tmp_path, capsys):
         assert "partitions_touched" in measured
     # stable, diffable JSON: dumping the loaded document reproduces
     # the file byte for byte
-    from repro.io import dump_profile, load_profile
+    from repro.io import dump_document, load_document
+    from repro.profile import PROFILE_FORMAT
     again = tmp_path / "again.json"
-    dump_profile(load_profile(target), again)
+    dump_document(load_document(target, PROFILE_FORMAT), again)
     assert target.read_text() == again.read_text()
 
 
@@ -257,3 +261,47 @@ def test_profile_rejects_bad_protocol():
     from repro.cli import build_profile_parser
     with pytest.raises(SystemExit):
         build_profile_parser().parse_args(["--protocol", "bogus"])
+
+
+# -- malformed input files ---------------------------------------------------
+
+BAD_INPUTS = {
+    "missing": None,
+    "truncated": '{"model": {"name": "m", "entities": [',
+    "list": "[1, 2]",
+    "no-model": '{"workload": {"statements": []}}',
+}
+
+SUBCOMMANDS = {
+    "advise": [],
+    "verify": ["verify"],
+    "profile": ["profile"],
+    "windows": ["windows", "--windows", "default:1"],
+    "monitor": ["monitor", "--trace-in", "TRACE"],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_malformed_application_file_is_a_clean_error(command, bad,
+                                                     tmp_path, capsys):
+    path = tmp_path / f"{bad}.json"
+    if BAD_INPUTS[bad] is not None:
+        path.write_text(BAD_INPUTS[bad])
+    trace = tmp_path / "trace.json"
+    trace.write_text("[]")
+    argv = [str(trace) if arg == "TRACE" else arg
+            for arg in SUBCOMMANDS[command]]
+    assert main(argv + ["--json", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert lines and lines[-1].startswith("error:")
+    assert str(path) in lines[-1]
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_truncated_json_error_gives_line_and_column(tmp_path, capsys):
+    path = tmp_path / "app.json"
+    path.write_text('{"model":\n  {"name": ')
+    assert main(["--json", str(path)]) == 1
+    assert "line 2, column" in capsys.readouterr().err

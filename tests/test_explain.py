@@ -21,7 +21,7 @@ from repro.explain import (
     prune_record,
     source_label,
 )
-from repro.io import dump_explain, load_explain
+from repro.io import dump_document, load_document
 from repro.reporting import diff_report, explain_report
 
 
@@ -254,9 +254,9 @@ def test_explain_document_round_trips_with_stable_keys(
         document, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    dump_explain(document, first)
-    loaded = load_explain(first)
-    dump_explain(loaded, second)
+    dump_document(document, first)
+    loaded = load_document(first, EXPLAIN_FORMAT)
+    dump_document(loaded, second)
     assert first.read_text() == second.read_text()
     assert loaded["format"] == EXPLAIN_FORMAT
 
@@ -265,7 +265,7 @@ def test_load_explain_rejects_non_document(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]")
     with pytest.raises(NoseError):
-        load_explain(path)
+        load_document(path, EXPLAIN_FORMAT)
 
 
 # -- diffing -------------------------------------------------------------------

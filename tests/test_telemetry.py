@@ -10,9 +10,10 @@ from repro import telemetry
 from repro.advisor import Advisor
 from repro.cost import SimpleCostModel
 from repro.demo import hotel_model, hotel_workload
-from repro.io import dump_run_report, load_run_report
+from repro.io import dump_document, load_document
 from repro.telemetry import (
     COUNT_BUCKETS,
+    RUN_REPORT_FORMAT,
     Histogram,
     MetricsRegistry,
     NullTelemetry,
@@ -407,12 +408,12 @@ def test_run_report_file_round_trip(tmp_path):
     model = hotel_model()
     _, report = _advise_traced(model, hotel_workload(model))
     path = tmp_path / "report.json"
-    dump_run_report(report, path)
-    rebuilt = load_run_report(path)
+    dump_document(report.as_dict(), path)
+    rebuilt = RunReport.from_dict(load_document(path, RUN_REPORT_FORMAT))
     assert rebuilt.as_dict() == report.as_dict()
     # the file itself is stable: dumping the rebuilt report is identical
     second = tmp_path / "again.json"
-    dump_run_report(rebuilt, second)
+    dump_document(rebuilt.as_dict(), second)
     assert path.read_text() == second.read_text()
 
 

@@ -4,10 +4,11 @@ import pytest
 
 from repro import Advisor
 from repro.demo import hotel_model, hotel_workload
-from repro.exceptions import OptimizationError, WorkloadError
-from repro.io import dump_windows, load_windows
+from repro.exceptions import OptimizationError, ParseError, WorkloadError
+from repro.io import dump_document, load_document
 from repro.tools import MigrationCostModel
 from repro.windows import (
+    WINDOWS_FORMAT,
     WindowSchedule,
     recommend_windows,
     replan_from_monitor,
@@ -102,13 +103,13 @@ def test_document_round_trips_byte_stable(phased, tmp_path):
     serial = recommend_windows(Advisor(model), workload, schedule)
     threaded = recommend_windows(Advisor(model, jobs=2), workload,
                                  schedule, jobs=2)
-    first = dump_windows(serial.document(meta=meta),
-                         tmp_path / "serial.json")
-    second = dump_windows(threaded.document(meta=meta),
-                          tmp_path / "jobs2.json")
+    first = dump_document(serial.document(meta=meta),
+                          tmp_path / "serial.json")
+    second = dump_document(threaded.document(meta=meta),
+                           tmp_path / "jobs2.json")
     serial_bytes = (tmp_path / "serial.json").read_bytes()
     assert serial_bytes == (tmp_path / "jobs2.json").read_bytes()
-    document = load_windows(first)
+    document = load_document(first, WINDOWS_FORMAT)
     assert document["format"] == "nose-windows/1"
     assert document["totals"]["total_cost"] == pytest.approx(
         serial.total_cost, rel=1e-5)
@@ -118,8 +119,8 @@ def test_document_round_trips_byte_stable(phased, tmp_path):
 def test_load_windows_rejects_untagged_documents(tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text("{\"windows\": []}\n")
-    with pytest.raises(ValueError, match="missing 'format'"):
-        load_windows(bogus)
+    with pytest.raises(ParseError, match="missing 'format'"):
+        load_document(bogus, WINDOWS_FORMAT)
 
 
 def test_replan_from_monitor_decides_for_observed_mix(phased):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cli import main
-from repro.io import load_windows
+from repro.io import load_document
+from repro.windows import WINDOWS_FORMAT
 
 MODULE_SOURCE = """\
 from repro.demo import hotel_model, hotel_workload
@@ -33,7 +34,7 @@ def test_windows_subcommand_on_module(workload_module, tmp_path,
     assert "windowed schema schedule" in output
     assert "baselines (same evaluator)" in output
     assert "Stage timing" in output
-    document = load_windows(target)
+    document = load_document(target, WINDOWS_FORMAT)
     assert document["format"] == "nose-windows/1"
     assert [entry["mix"] for entry in document["schedule"]] \
         == ["default", "writes"]
@@ -59,7 +60,7 @@ def test_windows_demo_smoke(tmp_path, capsys):
     assert main(["windows", "--demo", "rubis-drift", "--users", "300",
                  "--windows", "browsing:300,bidding:300",
                  "--output-json", str(target)]) == 0
-    document = load_windows(target)
+    document = load_document(target, WINDOWS_FORMAT)
     assert document["meta"]["source"] == "rubis-drift"
     assert len(document["windows"]) == 2
 
@@ -72,7 +73,7 @@ def test_monitor_replan_bridge(tmp_path, capsys):
     assert code in (0, 3)  # drift detection is the demo's point
     output = capsys.readouterr().out
     assert "windowed schema schedule" in output
-    document = load_windows(target)
+    document = load_document(target, WINDOWS_FORMAT)
     assert document["meta"]["source"] == "monitor-replan"
     assert len(document["windows"]) == 1
 
