@@ -28,7 +28,7 @@ from repro import dominance, telemetry
 from repro.cost import CassandraCostModel
 from repro.enumerator import CandidateEnumerator
 from repro.enumerator.support import modifies, support_queries
-from repro.exceptions import TruncationWarning
+from repro.exceptions import OptimizationError, TruncationWarning
 from repro.explain import ExplainData, prune_entry, prune_record
 from repro.optimizer import BIPOptimizer, OptimizationProblem
 from repro.optimizer.results import SchemaRecommendation
@@ -303,6 +303,16 @@ def _support_records(records, update_plan, update):
         support_queries(update, update_plan.index))}
     return {labels[label]: _relabeled(record, labels[label])
             for label, record in records.items()}
+
+
+def _nothing_to_optimize(workload):
+    """Why a workload without positively weighted statements cannot be
+    optimized."""
+    if not workload.statements:
+        return "the workload has no statements: there is nothing to optimize"
+    return (f"none of the workload's {len(workload.statements)} "
+            f"statements has a positive weight: there is nothing to "
+            f"optimize")
 
 
 def _statement_key(statement):
@@ -710,6 +720,8 @@ class Advisor:
         timing = AdvisorTiming()
         started = time.perf_counter()
         weights = self._resolve_weights(prepared, weights)
+        if not any(weight > 0 for weight in weights.values()):
+            raise OptimizationError(_nothing_to_optimize(prepared.workload))
 
         if prepared.consume_fresh():
             timing.enumeration = prepared.enumeration_seconds

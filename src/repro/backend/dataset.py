@@ -320,21 +320,17 @@ def materialize_rows(dataset, index, anchor_entity=None, anchor_ids=None):
                 if ids not in seen:
                     seen.add(ids)
                     tuples.append(ids)
-    fields_by_position = {}
-    for field in index.all_fields:
-        position = path.index_of(field.parent)
-        fields_by_position.setdefault(position, []).append(field)
+    projection = [(position, dataset.rows[name], field_ids)
+                  for position, name, field_ids in index.projection]
     rows = []
     for ids in tuples:
         row = {}
-        for position, fields in fields_by_position.items():
-            source = dataset.rows[path.entities[position].name].get(
-                ids[position])
+        for position, entity_rows, field_ids in projection:
+            source = entity_rows.get(ids[position])
             if source is None:
-                row = None
                 break
-            for field in fields:
-                row[field.id] = source.get(field.id)
-        if row is not None:
+            for field_id in field_ids:
+                row[field_id] = source.get(field_id)
+        else:
             rows.append(row)
     return rows

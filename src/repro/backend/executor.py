@@ -1,10 +1,13 @@
 """Execution engine: runs recommended plans against the record store.
 
 This is the paper's "simple execution engine which can execute the plans
-recommended by NoSE" (§VII-A): it interprets query plans (get / filter /
-sort / limit / join-by-chained-gets) and update plans (support queries
-followed by puts and deletes) against the simulated store, keeping every
-column family consistent with the ground-truth :class:`Dataset`.
+recommended by NoSE" (§VII-A): it runs query plans (get / filter / sort /
+limit / join-by-chained-gets) and update plans (support queries followed
+by puts and deletes) against the simulated store, keeping every column
+family consistent with the ground-truth :class:`Dataset`.  Each plan is
+compiled once per engine; a request only binds parameters and moves
+rows, and no step mutates a row the store or the transaction cache
+handed out.
 
 ``share_reads`` enables a per-transaction read cache that de-duplicates
 identical get requests across the statements of one transaction — the
@@ -14,7 +17,9 @@ discussion of the 100x write mix), which NoSE plans do not assume.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+from operator import itemgetter
 
 from repro import telemetry
 from repro.backend.dataset import materialize_rows
@@ -30,7 +35,7 @@ from repro.planner.steps import (
     UnionStep,
 )
 from repro.workload.semantics import aggregate_value, ordering_key
-from repro.workload.statements import Query
+from repro.workload.statements import Connect, Insert, Query
 
 
 class ExecutionEngine:
@@ -65,6 +70,11 @@ class ExecutionEngine:
         self._transaction_cache = None
         self._query_plans = {}
         self._update_plans = {}
+        #: chosen support plans per update label, in execution order
+        self._support_plans = {}
+        #: plan -> :class:`_Program`; every recommended plan is compiled
+        #: here, once, so requests only bind parameters and move rows
+        self._programs = {}
         self._statements = {}
         # Workload guarantees unique labels, but hand-built
         # recommendations do not: a query and an update sharing a label
@@ -73,9 +83,16 @@ class ExecutionEngine:
         for query, plan in recommendation.query_plans.items():
             self._register(query)
             self._query_plans[query.label] = plan
+            self._compile(plan)
         for update, plans in recommendation.update_plans.items():
             self._register(update)
             self._update_plans[update.label] = plans
+            support = [support_plans[0] for update_plan in plans
+                       for support_plans
+                       in update_plan.support_plans_by_query.values()]
+            for plan in support:
+                self._compile(plan)
+            self._support_plans[update.label] = support
 
     def _register(self, statement):
         label = statement.label
@@ -118,14 +135,22 @@ class ExecutionEngine:
         transaction are answered once.
         """
         started = self.store.metrics.simulated_ms
+        with self.transaction():
+            for label, params in requests:
+                self.execute(label, params)
+        return self.store.metrics.simulated_ms - started
+
+    @contextlib.contextmanager
+    def transaction(self):
+        """Scope one user transaction: with ``share_reads``, identical
+        get requests inside it are answered once, from a cache that
+        ends with the scope."""
         if self.share_reads:
             self._transaction_cache = {}
         try:
-            for label, params in requests:
-                self.execute(label, params)
+            yield
         finally:
             self._transaction_cache = None
-        return self.store.metrics.simulated_ms - started
 
     # -- observation ---------------------------------------------------------
 
@@ -203,70 +228,109 @@ class ExecutionEngine:
         if plan is None:
             raise ExecutionError(
                 f"no recommended plan for query {query.label!r}")
-        if isinstance(plan, UnionPlan):
-            # each branch runs with its own branch query so lookups and
-            # filters resolve conditions against that branch's predicate
-            # set; the tail steps see the concatenated streams
-            bindings = []
-            for branch_plan in plan.branch_plans:
-                bindings.extend(self._run_steps(
-                    branch_plan.steps, branch_plan.query, params, [{}]))
-            bindings = self._run_steps(plan.tail_steps, plan.query,
-                                       params, bindings)
-        else:
-            bindings = self._run_steps(plan.steps, plan.query, params,
-                                       [{}])
-        return self._project(plan.query, bindings)
+        program = self._programs.get(plan) or self._compile(plan)
+        # each OR branch starts from the empty binding; the tail steps
+        # see the concatenated streams
+        bindings = []
+        for steps in program.branches:
+            bindings.extend(self._run_steps(steps, params, [{}]))
+        bindings = self._run_steps(program.tail, params, bindings)
+        return self._project(program, bindings)
 
-    def _run_steps(self, steps, query, params, bindings):
+    def _compile(self, plan):
+        """Resolve ``plan`` into a :class:`_Program`, once per plan.
+
+        A plain plan is one branch with an empty tail.  A union plan
+        compiles each branch against its own branch query, so lookups
+        and filters resolve conditions against that branch's predicate
+        set.
+        """
+        if isinstance(plan, UnionPlan):
+            branches = [(branch.steps, branch.query)
+                        for branch in plan.branch_plans]
+            tail = plan.tail_steps
+        else:
+            branches = [(plan.steps, plan.query)]
+            tail = ()
+        compiled = []
+        available = None
+        for steps, query in branches:
+            branch_steps, fetched = self._compile_steps(steps, query,
+                                                        frozenset())
+            compiled.append(branch_steps)
+            available = fetched if available is None \
+                else available & fetched
+        tail, available = self._compile_steps(tail, plan.query, available)
+        program = _Program(compiled, tail, plan.query, available)
+        self._programs[plan] = program
+        return program
+
+    def _compile_steps(self, steps, query, available):
+        """``(run, step)`` pairs for ``steps``, plus the field ids every
+        binding carries afterwards (``available`` before them).
+
+        ``run`` is the engine class's unbound method: a bound one would
+        tie the engine into a reference cycle through its own programs,
+        so a discarded engine and its dataset would wait for the cyclic
+        collector instead of being freed at once.
+        """
+        engine = type(self)
+        compiled = []
         for step in steps:
             if isinstance(step, IndexLookupStep):
-                bindings = self._lookup(step, query, params, bindings)
+                compiled.append((engine._lookup,
+                                 _Lookup(step, query, available)))
+                available = available | step.index.all_field_ids
             elif isinstance(step, FilterStep):
-                bindings = self._filter(step, params, bindings)
+                compiled.append((engine._filter, tuple(
+                    (condition.field.id, condition)
+                    for condition in step.conditions)))
             elif isinstance(step, SortStep):
-                bindings = self._sort(step, bindings)
+                compiled.append((engine._sort, tuple(
+                    field.id for field in step.fields)))
             elif isinstance(step, UnionStep):
                 pass  # branch streams are already concatenated
             elif isinstance(step, AggregateStep):
-                bindings = self._aggregate(query, step, bindings)
+                compiled.append((engine._aggregate, _Fold(query, step)))
+                available = frozenset()
             elif isinstance(step, LimitStep):
-                bindings = bindings[:step.limit]
+                compiled.append((engine._limit, step.limit))
             else:  # pragma: no cover - queries have no other step types
                 raise ExecutionError(f"unexpected step {step!r}")
+        return compiled, available
+
+    def _run_steps(self, steps, params, bindings):
+        for run, step in steps:
+            bindings = run(self, step, params, bindings)
         return bindings
 
-    def _project(self, query, bindings):
-        if getattr(query, "is_aggregate", False):
+    @staticmethod
+    def _project(program, bindings):
+        ids = program.output_ids
+        if program.is_aggregate:
             # aggregation already produced one row per group; the
             # grouping keys make rows distinct by construction
-            ids = query.output_ids
             return [{field_id: binding.get(field_id) for field_id in ids}
                     for binding in bindings]
-        select = tuple(getattr(query, "select", ()))
-        seen = set()
-        results = []
-        for binding in bindings:
-            values = tuple(binding.get(field.id) for field in select)
-            if values not in seen:
-                seen.add(values)
-                results.append(dict(zip((f.id for f in select), values)))
-        return results
+        # dict.fromkeys keeps the first occurrence of each distinct row
+        distinct = dict.fromkeys(map(program.row_values, bindings))
+        if len(ids) == 1:
+            (field_id,) = ids
+            return [{field_id: value} for value in distinct]
+        return [dict(zip(ids, values)) for values in distinct]
 
-    def _aggregate(self, query, step, bindings):
+    def _aggregate(self, fold, params, bindings):
         # fold over *distinct* target rows: the underlying select keeps
         # the target entity's ID precisely so duplicate join rows (and
         # duplicate OR-branch rows) collapse before folding
-        select_ids = [field.id for field in query.select]
         distinct = {}
         for binding in bindings:
-            key = tuple(binding.get(field_id) for field_id in select_ids)
-            if key not in distinct:
-                distinct[key] = binding
-        group_ids = [field.id for field in step.group_by]
+            distinct.setdefault(
+                tuple(map(binding.get, fold.select_ids)), binding)
+        group_ids = fold.group_ids
         groups = {}
         for binding in distinct.values():
-            key = tuple(binding.get(field_id) for field_id in group_ids)
+            key = tuple(map(binding.get, group_ids))
             groups.setdefault(key, []).append(binding)
         if not groups and not group_ids:
             # a global aggregate over zero rows still yields one row
@@ -276,101 +340,92 @@ class ExecutionEngine:
         for rows in groups.values():
             out = ({field_id: rows[0].get(field_id)
                     for field_id in group_ids} if rows else {})
-            for aggregate in step.aggregates:
-                if aggregate.field is None:  # COUNT(*)
-                    out[aggregate.output_id] = len(rows)
+            for output_id, func, field_id in fold.aggregates:
+                if field_id is None:  # COUNT(*)
+                    out[output_id] = len(rows)
                 else:
-                    values = [row.get(aggregate.field.id) for row in rows]
-                    out[aggregate.output_id] = aggregate_value(
-                        aggregate.func, values)
+                    out[output_id] = aggregate_value(
+                        func, [row.get(field_id) for row in rows])
             results.append(out)
         return results
 
-    def _lookup(self, step, query, params, bindings):
-        column_family = self.store[step.index.key]
-        index = step.index
-        prefix_fields = [field for field in step.eq_fields
-                         if field not in index.hash_fields]
+    def _lookup(self, step, params, bindings):
+        """Issue ``step``'s get requests, one set per binding.
+
+        A binding contributes one value per key field it carries; an
+        ``IN`` predicate contributes one value per distinct list member,
+        turning the lookup into a multi-get over the cross product.
+        Rows fetched for the empty binding pass on as the store returned
+        them: nothing downstream mutates a binding, so neither the store
+        nor the transaction cache can be corrupted through them.
+        """
+        column_family = self.store[step.key]
         range_request = None
-        if step.range_field is not None:
-            condition = query.condition_on(step.range_field)
+        if step.range_condition is not None:
+            condition = step.range_condition
             range_request = (condition.operator,
                              params[condition.parameter])
-
-        def values_of(binding, field):
-            """Candidate values for one key field of the get request.
-
-            A scalar binding contributes one value; an ``IN`` predicate
-            contributes one value per (distinct) list member, turning
-            the lookup into a multi-get over the cross product.
-            """
-            if field.id in binding:
-                return (binding[field.id],)
-            condition = query.condition_on(field)
-            if condition is None:
-                raise ExecutionError(
-                    f"no value available for {field.id} in lookup on "
-                    f"{index.key}")
-            bound = condition.bind(params)
-            if condition.is_membership:
-                return tuple(dict.fromkeys(bound))
-            return (bound,)
-
-        results = []
+        if not bindings:
+            return []
+        # parameter values are the same for every binding; a key field
+        # the bindings carry is left None and read per binding
+        choices = [None if condition is None
+                   else tuple(dict.fromkeys(condition.bind(params)))
+                   if condition.is_membership
+                   else (condition.bind(params),)
+                   for condition in step.conditions]
+        width = step.width
+        key = step.key
+        cache = self._transaction_cache
         issued = {}
+        results = []
         for binding in bindings:
-            partition_values = [values_of(binding, field)
-                                for field in index.hash_fields]
-            prefix_values = [values_of(binding, field)
-                             for field in prefix_fields]
-            for partition in itertools.product(*partition_values):
-                for prefix in itertools.product(*prefix_values):
-                    request = (index.key, partition, prefix,
-                               range_request)
-                    if request in issued:
-                        rows = issued[request]
-                    elif (self._transaction_cache is not None
-                            and request in self._transaction_cache):
-                        rows = self._transaction_cache[request]
-                    else:
-                        rows = column_family.get(
-                            partition, prefix,
-                            range_filter=range_request)
-                        issued[request] = rows
-                        if self._transaction_cache is not None:
-                            self._transaction_cache[request] = rows
-                    for row in rows:
-                        merged = dict(binding)
-                        merged.update(row)
-                        results.append(merged)
+            for values in itertools.product(*[
+                    (binding[field_id],) if choice is None else choice
+                    for field_id, choice in zip(step.field_ids, choices)]):
+                partition = values[:width]
+                prefix = values[width:]
+                request = (key, partition, prefix, range_request)
+                rows = issued.get(request)
+                if rows is None and cache is not None:
+                    rows = cache.get(request)
+                if rows is None:
+                    rows = column_family.get(partition, prefix,
+                                             range_filter=range_request)
+                    issued[request] = rows
+                    if cache is not None:
+                        cache[request] = rows
+                if binding:
+                    results.extend({**binding, **row} for row in rows)
+                else:
+                    results.extend(rows)
         return results
 
-    def _filter(self, step, params, bindings):
+    def _filter(self, conditions, params, bindings):
         # Condition.matches applies the canonical NULL rule (see
         # repro.workload.semantics), so a missing/None stored value can
         # still satisfy an equality against a None parameter and never
         # satisfies a range — the same rule the reference interpreter
         # and the store's range scans use.
-        kept = []
-        for binding in bindings:
-            keep = True
-            for condition in step.conditions:
-                value = binding.get(condition.field.id)
-                if not condition.matches(value, condition.bind(params)):
-                    keep = False
-                    break
-            if keep:
-                kept.append(binding)
-        return kept
+        for field_id, condition in conditions:
+            if not bindings:
+                break
+            matches = condition.matches
+            bound = condition.bind(params)
+            bindings = [binding for binding in bindings
+                        if matches(binding.get(field_id), bound)]
+        return bindings
 
-    def _sort(self, step, bindings):
+    def _sort(self, field_ids, params, bindings):
         # stable, with the canonical NULLS LAST order; a None/missing
         # sort field must not TypeError against concrete values
-        field_ids = [field.id for field in step.fields]
         return sorted(bindings,
                       key=lambda binding: tuple(
                           ordering_key(binding.get(field_id))
                           for field_id in field_ids))
+
+    def _limit(self, limit, params, bindings):
+        return bindings[:limit]
 
     # -- updates -------------------------------------------------------------------
 
@@ -391,11 +446,8 @@ class ExecutionEngine:
 
     def _execute_update(self, update, params):
         plans = self._update_plans.get(update.label, [])
-        for update_plan in plans:
-            for support_plans in \
-                    update_plan.support_plans_by_query.values():
-                chosen = support_plans[0]
-                self.execute_query(chosen.query, params, plan=chosen)
+        for chosen in self._support_plans.get(update.label, ()):
+            self.execute_query(chosen.query, params, plan=chosen)
         anchor_entity, anchor_ids = self._anchor_for(update, params)
         before = {}
         for update_plan in plans:
@@ -474,10 +526,91 @@ class ExecutionEngine:
 
     def _anchor_for(self, update, params):
         """Entity (and IDs) whose join neighbourhood the update touches."""
-        from repro.workload.statements import Connect, Insert
         if isinstance(update, Insert):
             id_parameter = update.settings[update.entity.id_field]
             return update.entity, [params[id_parameter]]
         if isinstance(update, Connect):
             return update.entity, [params[update.source_parameter]]
         return update.entity, self.dataset.matching_ids(update, params)
+
+
+class _Program:
+    """A query plan compiled for one engine.
+
+    ``branches`` holds one ``(run, step)`` list per OR branch (a plain
+    plan is a single branch) and ``tail`` the steps over their
+    concatenated streams.  Every binding reaching the projection of a
+    plain query carries its output columns, so ``row_values`` reads them
+    with one ``itemgetter``: a value for a single column, else a tuple.
+    """
+
+    __slots__ = ("branches", "tail", "output_ids", "is_aggregate",
+                 "row_values")
+
+    def __init__(self, branches, tail, query, available):
+        self.branches = branches
+        self.tail = tail
+        self.is_aggregate = query.is_aggregate
+        if self.is_aggregate:
+            self.output_ids = tuple(query.output_ids)
+            self.row_values = None
+            return
+        self.output_ids = tuple(field.id for field in query.select)
+        unfetched = sorted(set(self.output_ids) - available)
+        if unfetched:
+            raise ExecutionError(
+                f"plan for {query.label or query} never fetches "
+                f"{', '.join(unfetched)}")
+        self.row_values = itemgetter(*self.output_ids)
+
+
+class _Lookup:
+    """An :class:`IndexLookupStep` resolved against its query.
+
+    One entry per hash field, then per clustering-prefix field:
+    ``field_ids`` names the key column, and ``conditions`` the predicate
+    whose parameter supplies its value — or None when every incoming
+    binding carries the column (an earlier lookup fetched it).
+    """
+
+    __slots__ = ("key", "width", "field_ids", "conditions",
+                 "range_condition")
+
+    def __init__(self, step, query, available):
+        index = step.index
+        fields = index.hash_fields + tuple(
+            field for field in step.eq_fields
+            if field not in index.hash_fields)
+        self.key = index.key
+        self.width = len(index.hash_fields)
+        self.field_ids = tuple(field.id for field in fields)
+        self.conditions = tuple(
+            None if field.id in available else query.condition_on(field)
+            for field in fields)
+        for field_id, condition in zip(self.field_ids, self.conditions):
+            if condition is None and field_id not in available:
+                raise ExecutionError(
+                    f"no value available for {field_id} in lookup on "
+                    f"{index.key}")
+        self.range_condition = None
+        if step.range_field is not None:
+            self.range_condition = query.condition_on(step.range_field)
+            if self.range_condition is None:
+                raise ExecutionError(
+                    f"no predicate ranges over {step.range_field.id} "
+                    f"in lookup on {index.key}")
+
+
+class _Fold:
+    """An :class:`AggregateStep` with its field ids resolved."""
+
+    __slots__ = ("select_ids", "group_ids", "aggregates")
+
+    def __init__(self, query, step):
+        self.select_ids = tuple(field.id for field in query.select)
+        self.group_ids = tuple(field.id for field in step.group_by)
+        #: ``(output id, function, field id or None for COUNT(*))``
+        self.aggregates = tuple(
+            (aggregate.output_id, aggregate.func,
+             None if aggregate.field is None else aggregate.field.id)
+            for aggregate in step.aggregates)

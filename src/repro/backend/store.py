@@ -75,6 +75,7 @@ class ColumnFamily:
         self._hash_ids = tuple(f.id for f in index.hash_fields)
         self._order_ids = tuple(f.id for f in index.order_fields)
         self._extra_ids = tuple(f.id for f in index.extra_fields)
+        self._key_ids = self._hash_ids + self._order_ids
         self._row_bytes = max(index.entry_size, 1)
         #: partition tuple -> sorted list of (clustering tuple, values)
         self._partitions = {}
@@ -99,8 +100,7 @@ class ColumnFamily:
         return self._keys_of(row)
 
     def _as_row(self, partition, clustering, values):
-        row = dict(zip(self._hash_ids, partition))
-        row.update(zip(self._order_ids, clustering))
+        row = dict(zip(self._key_ids, partition + clustering))
         row.update(values)
         return row
 

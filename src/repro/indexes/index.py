@@ -26,7 +26,8 @@ class Index:
     """
 
     __slots__ = ("hash_fields", "order_fields", "extra_fields", "path",
-                 "key", "_all_fields", "_field_ids", "_entry_size")
+                 "key", "_all_fields", "_field_ids", "_entry_size",
+                 "_projection")
 
     def __init__(self, hash_fields, order_fields, extra_fields, path):
         hash_fields = tuple(hash_fields)
@@ -63,6 +64,7 @@ class Index:
         self._all_fields = hash_fields + order_fields + extra_fields
         self._field_ids = frozenset(f.id for f in self._all_fields)
         self._entry_size = sum(f.size for f in self._all_fields)
+        self._projection = None
 
     def _digest(self):
         # the path signature is orientation-independent and includes the
@@ -115,6 +117,22 @@ class Index:
     @property
     def all_field_ids(self):
         return self._field_ids
+
+    @property
+    def projection(self):
+        """How a join row along ``path`` becomes a record: one
+        ``(position, entity name, field ids)`` per path position holding
+        fields of this index, in field order.  Built on first use."""
+        if self._projection is None:
+            grouped = {}
+            for field in self._all_fields:
+                position = self.path.index_of(field.parent)
+                grouped.setdefault(position, []).append(field.id)
+            self._projection = tuple(
+                (position, self.path.entities[position].name,
+                 tuple(field_ids))
+                for position, field_ids in grouped.items())
+        return self._projection
 
     # -- path compatibility ---------------------------------------------------
 

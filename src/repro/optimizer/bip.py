@@ -215,9 +215,12 @@ class SelectionProgram:
             if active.enabled:
                 active.count("bip.time_limited")
         elif not result.success:
-            raise OptimizationError(
-                f"BIP solve failed: {result.message}")
+            raise OptimizationError(self._failure(result))
         return result
+
+    def _failure(self, result):
+        """The error message for a failed solve."""
+        return f"BIP solve failed: {result.message}"
 
     def _cost_cut(self, bound):
         """The base constraints plus ``cost @ x <= bound`` as one row."""
@@ -306,6 +309,16 @@ class _Program(SelectionProgram):
         self.costs = [0.0] * self.columns
         self.reweight(self.problem.weights)
         return True
+
+    def _failure(self, result):
+        limit = self.problem.space_limit
+        if result.status == 2 and limit is not None:
+            # every query can always be answered by selecting every
+            # candidate, so only the space row makes the program
+            # infeasible
+            return (f"no schema fits within space_limit={limit:g}: "
+                    f"every schema answering the workload is larger")
+        return super()._failure(result)
 
     def _append_space_row(self):
         problem = self.problem

@@ -155,12 +155,11 @@ def test_invalid_update_protocol_rejected(engine_setup):
 def test_sort_is_stable_with_nulls_last(engine_setup):
     """A None/missing sort value must order after every concrete value
     without raising TypeError, and ties must keep arrival order."""
-    from types import SimpleNamespace
     _model, _workload, _dataset, engine = engine_setup
-    step = SimpleNamespace(fields=[SimpleNamespace(id="f")])
     bindings = [{"f": 2, "tag": 0}, {"f": None, "tag": 1},
                 {"tag": 2}, {"f": 1, "tag": 3}]
-    ordered = engine._sort(step, bindings)
+    # a compiled sort step is the tuple of its field ids
+    ordered = engine._sort(("f",), {}, bindings)
     assert [binding.get("f") for binding in ordered] \
         == [1, 2, None, None]
     # the explicit None and the missing value keep their relative order
@@ -169,19 +168,18 @@ def test_sort_is_stable_with_nulls_last(engine_setup):
 
 
 def test_filter_applies_the_canonical_null_rule(engine_setup):
-    from types import SimpleNamespace
-
     from repro.workload.conditions import Condition
     model, _workload, _dataset, engine = engine_setup
     field = model.entity("Guest")["GuestName"]
     bindings = [{field.id: None}, {field.id: "x"}, {}]
-    equality = SimpleNamespace(conditions=[Condition(field, "=", "p")])
+    # a compiled filter step pairs each condition with its field id
+    equality = ((field.id, Condition(field, "=", "p")),)
     # NULL = NULL holds for both an explicit None and a missing value
     assert engine._filter(equality, {"p": None}, bindings) \
         == [{field.id: None}, {}]
     assert engine._filter(equality, {"p": "x"}, bindings) \
         == [{field.id: "x"}]
-    ranged = SimpleNamespace(conditions=[Condition(field, ">", "p")])
+    ranged = ((field.id, Condition(field, ">", "p")),)
     # ranges never match when either side is NULL
     assert engine._filter(ranged, {"p": "a"}, bindings) \
         == [{field.id: "x"}]

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro import Advisor
+from repro import Advisor, Workload
 from repro.advisor import prune_dominated_plans
 from repro.cost import SimpleCostModel
-from repro.exceptions import PlanningError
+from repro.demo import hotel_model, hotel_workload
+from repro.exceptions import OptimizationError, PlanningError
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +119,27 @@ def test_recommendation_describe_round_trip(read_recommendation):
     text = recommendation.describe()
     assert "column families" in text
     assert "Plan for" in text
+
+
+# -- degenerate optimizer inputs ----------------------------------------------
+
+def test_empty_workload_is_an_optimization_error():
+    model = hotel_model()
+    with pytest.raises(OptimizationError, match="no statements"):
+        Advisor(model).recommend(Workload(model))
+
+
+def test_all_zero_weights_are_an_optimization_error():
+    model = hotel_model()
+    workload = hotel_workload(model)
+    for label in workload.statements:
+        workload.set_weight(label, 0.0)
+    with pytest.raises(OptimizationError, match="positive weight"):
+        Advisor(model).recommend(workload)
+
+
+def test_space_limit_below_every_schema_names_the_limit(
+        read_recommendation):
+    model, workload, _recommendation = read_recommendation
+    with pytest.raises(OptimizationError, match="space_limit=1:"):
+        Advisor(model).recommend(workload, space_limit=1.0)

@@ -43,6 +43,27 @@ def test_space_limit_flag(capsys):
     assert "Recommended schema" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("arguments, cause", [
+    (["--demo", "hotel", "--space-limit", "1"], "space_limit=1"),
+    (["--model", "EMPTY"], "no statements"),
+], ids=["space-limit", "empty-workload"])
+def test_degenerate_optimizer_input_is_a_clean_error(tmp_path, capsys,
+                                                     arguments, cause):
+    module = tmp_path / "empty_workload.py"
+    module.write_text(
+        "from repro import Workload\n"
+        "from repro.demo import hotel_model\n"
+        "def build():\n"
+        "    model = hotel_model()\n"
+        "    return model, Workload(model)\n")
+    arguments = [str(module) if argument == "EMPTY" else argument
+                 for argument in arguments]
+    assert main(arguments) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error:")
+    assert cause in error
+
+
 def test_workload_module_loading(tmp_path, capsys):
     module = tmp_path / "tiny_workload.py"
     module.write_text(
