@@ -84,7 +84,7 @@ def prune_dominated_plans(plans, keep=None, removals=None):
     return pruned
 
 
-def prune_plan_space(plans, keep=None, removals=None, engine=None):
+def prune_plan_space(plans, keep=None, removals=None):
     """Dominance-prune one statement's plan space for the optimizer.
 
     Applies the per-column-family-set rule of
@@ -97,19 +97,13 @@ def prune_plan_space(plans, keep=None, removals=None, engine=None):
     solve as well.  This typically halves the BIP's plan columns.
     ``keep`` caps the result (cheapest first) after both rules.
     ``removals`` collects pruning-ledger entries as in
-    :func:`prune_dominated_plans`.
-
-    ``engine`` selects the superset-rule implementation
-    (:func:`repro.dominance.superset_filter`): ``"vector"`` for the
-    bitset-matrix path, ``"scalar"`` for the reference pairwise scan,
-    ``"auto"``/None to pick by space size (overridable via the
-    ``NOSE_VECTORIZE`` environment variable).  Both produce
-    byte-identical plans and ledger entries.
+    :func:`prune_dominated_plans`.  The superset rule runs on
+    :func:`repro.dominance.superset_filter`, which picks its engine by
+    space size.
     """
     plans = list(plans)
     pruned = dominance.dedupe_cheapest(plans, removals=removals)
-    kept = dominance.superset_filter(pruned, removals=removals,
-                                     engine=engine)
+    kept = dominance.superset_filter(pruned, removals=removals)
     capped = kept if keep is None else kept[:keep]
     if removals is not None and keep is not None:
         removals.extend(prune_entry(plan, "cap") for plan in kept[keep:])
@@ -216,10 +210,10 @@ class PreparedWorkload:
     Created by :meth:`Advisor.prepare` for one workload *structure*
     (weights excluded).  Besides the candidate pool and raw plan
     spaces, it accumulates the weight-independent downstream artifacts
-    — costed and pruned plan spaces, and one constructed program per
-    space limit — as :meth:`Advisor.recommend_prepared` produces them,
-    so repeated solves over the same structure redo only the cost
-    vector and the solve itself.
+    — costed and pruned plan spaces, and one constructed program — as
+    :meth:`Advisor.recommend_prepared` produces them, so repeated solves
+    over the same structure, under any weights and space limit, redo
+    only the cost vector and the solve itself.
     """
 
     def __init__(self, key, workload, candidates, query_plans,
@@ -266,7 +260,7 @@ class PreparedWorkload:
         self._pruning_seconds = 0.0
         #: {statement label: pruning record} — filled during pruning
         self._prune_ledger = {}
-        self._programs = {}
+        self._program = None
 
     def consume_fresh(self):
         """True on the first call after actual enumeration/planning —
@@ -361,14 +355,16 @@ class Advisor:
     ...     advisor.recommend_prepared(prepared, weights=weights)
 
     ``cost_model`` defaults to the Cassandra-style model; ``enumerator``
-    and ``optimizer`` may be swapped for the ablation studies.  ``jobs``
-    fans per-statement planning and costing over a thread pool.
+    may be swapped for the ablation studies, and ``optimizer`` is a
+    :class:`~repro.optimizer.BIPOptimizer` (pass one to change its gap
+    or time limit).  ``jobs`` fans per-statement planning and costing
+    over a thread pool.
     """
 
     def __init__(self, model, cost_model=None, enumerator=None,
                  optimizer=None, max_plans=500, prune_to=32,
                  support_prune_to=8, jobs=None, cache_size=8,
-                 artifact_cache_size=4096, prune_engine=None):
+                 artifact_cache_size=4096):
         self.model = model
         self.cost_model = cost_model or CassandraCostModel()
         self.enumerator = enumerator or CandidateEnumerator(model)
@@ -380,9 +376,6 @@ class Advisor:
         self.support_prune_to = support_prune_to
         #: worker threads for per-statement planning/costing (None = serial)
         self.jobs = jobs
-        #: dominance-pruning engine: "vector", "scalar" or "auto"/None
-        #: (see repro.dominance; both engines are byte-identical)
-        self.prune_engine = prune_engine
         #: prepared workloads kept (FIFO-evicted), keyed by structure
         self.cache_size = cache_size
         self._prepared = {}
@@ -414,8 +407,7 @@ class Advisor:
         changes included) reuse the cached plan spaces and program and
         only re-cost and re-solve.  ``warm_start`` optionally passes a
         previous recommendation (or iterable of column families) as an
-        incumbent for optimizers that support it — see
-        :meth:`recommend_prepared`.
+        incumbent — see :meth:`recommend_prepared`.
         """
         with telemetry.current().span("recommend"):
             prepared = self.prepare(workload, jobs=jobs)
@@ -700,13 +692,12 @@ class Advisor:
         active mix is read), and the default is the workload the
         structure was last prepared from.  Costing, dominance pruning
         and program construction all cache on ``prepared``: after the
-        first solve, a weight change rebuilds only the program's cost
-        vector and re-solves.
+        first solve, a change of weights or ``space_limit`` rebuilds only
+        the program's cost vector and re-solves.
 
         ``warm_start`` optionally passes a previous
         :class:`SchemaRecommendation` (or any iterable of column
-        families / keys) to optimizers advertising
-        ``supports_warm_start``: the previous schema is evaluated as a
+        families / keys): the previous schema is evaluated as a
         feasible incumbent and its cost bounds the new solve.  The
         bound can change which of several *equal-cost* optima the
         solver returns, so warm starting is opt-in; leave it unset when
@@ -811,7 +802,7 @@ class Advisor:
             # costs changed: downstream artifacts are stale
             prepared._pruned_query_plans = None
             prepared._pruned_update_plans = None
-            prepared._programs.clear()
+            prepared._program = None
             prepared._cost_seconds = time.perf_counter() - stage
             hits, misses, _ = self.cost_model.cache_info()
             prepared._cost_cache_hits = hits - hits_before
@@ -851,8 +842,7 @@ class Advisor:
                 query, plans = item
                 removals = []
                 kept = prune_plan_space(plans, self.prune_to,
-                                        removals=removals,
-                                        engine=self.prune_engine)
+                                        removals=removals)
                 return kept, prune_record(query, len(plans), len(kept),
                                           removals)
 
@@ -957,79 +947,38 @@ class Advisor:
 
     def _optimize_prepared(self, prepared, weights, space_limit, timing,
                            warm_start=None):
-        query_plans = prepared._pruned_query_plans
-        update_plans = prepared._pruned_update_plans
-        staged = (hasattr(self.optimizer, "prepare")
-                  and hasattr(self.optimizer, "optimize"))
-        warmable = getattr(self.optimizer, "supports_warm_start", False)
-        if warm_start is not None and not warmable:
-            warm_start = None
         active = telemetry.current()
         stage = time.perf_counter()
-        if not staged:
-            # e.g. BruteForceOptimizer: single solve() entry point
-            with active.span("bip_construction"):
-                problem = OptimizationProblem(query_plans, update_plans,
-                                              weights,
-                                              space_limit=space_limit)
-            active.gauge("advisor.statement_classes", len(problem.classes))
-            timing.bip_construction = time.perf_counter() - stage
-            stage = time.perf_counter()
-            with active.span("bip_solving"):
-                if warm_start is not None:
-                    recommendation = self.optimizer.solve(
-                        problem, warm_start=warm_start)
-                else:
-                    recommendation = self.optimizer.solve(problem)
-            timing.bip_solving = time.perf_counter() - stage
-            return recommendation
         with active.span("bip_construction") as span:
-            program = prepared._programs.get(space_limit)
-            if program is not None \
-                    and hasattr(self.optimizer, "reweight"):
+            program = prepared._program
+            if program is None:
+                problem = OptimizationProblem(prepared._pruned_query_plans,
+                                              prepared._pruned_update_plans,
+                                              weights)
+                program = prepared._program = self.optimizer.prepare(
+                    problem)
+                active.count("bip.programs_built")
+                mode = "build"
+            else:
                 self.optimizer.reweight(program, weights)
                 active.count("bip.programs_reweighted")
-                if span is not None:
-                    span.set(mode="reweight")
-            else:
-                problem = OptimizationProblem(query_plans, update_plans,
-                                              weights,
-                                              space_limit=space_limit)
-                # a program for another space limit shares this plan
-                # structure; optimizers advertising incremental prepare
-                # adopt its constraint rows instead of rebuilding
-                previous = None
-                if getattr(self.optimizer,
-                           "supports_incremental_prepare", False):
-                    for existing in prepared._programs.values():
-                        previous = existing
-                if previous is not None:
-                    program = self.optimizer.prepare(problem,
-                                                     previous=previous)
-                else:
-                    program = self.optimizer.prepare(problem)
-                prepared._programs[space_limit] = program
-                active.count("bip.programs_built")
-                if span is not None:
-                    span.set(mode="build")
-        problem = getattr(program, "problem", None)
-        if problem is not None:
-            # statements of one form are one class: one block, one plan
-            active.gauge("advisor.statement_classes", len(problem.classes))
+                mode = "reweight"
+            # the space limit is a solve input, like the weights
+            program.problem.space_limit = space_limit
+            if span is not None:
+                span.set(mode=mode)
+        # statements of one form are one class: one block, one plan
+        active.gauge("advisor.statement_classes",
+                     len(program.problem.classes))
         timing.bip_construction = time.perf_counter() - stage
 
         stage = time.perf_counter()
-        if warm_start is not None:
-            recommendation = self.optimizer.optimize(
-                program, warm_start=warm_start)
-        else:
-            recommendation = self.optimizer.optimize(program)
+        recommendation = self.optimizer.optimize(program,
+                                                 warm_start=warm_start)
         solving = time.perf_counter() - stage
-        # the BIP program separates solver time from result extraction;
-        # fall back to the wall measurement for other optimizers
-        extract = getattr(program, "extract_seconds", 0.0)
-        timing.bip_solving = max(solving - extract, 0.0)
-        timing.recommendation = extract
+        # the program separates solver time from result extraction
+        timing.bip_solving = max(solving - program.extract_seconds, 0.0)
+        timing.recommendation = program.extract_seconds
         return recommendation
 
     def _prune_update_plan(self, update_plan, ledger=None):
@@ -1038,8 +987,7 @@ class Advisor:
         for query, plans in update_plan.support_plans_by_query.items():
             removals = [] if ledger is not None else None
             kept = prune_plan_space(plans, self.support_prune_to,
-                                    removals=removals,
-                                    engine=self.prune_engine)
+                                    removals=removals)
             pruned.extend(kept)
             if ledger is not None:
                 label = query.label or str(query)

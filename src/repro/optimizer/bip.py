@@ -29,36 +29,6 @@ from repro.explain import solver_ledger
 from repro.optimizer.results import SchemaRecommendation
 
 
-def _same_plan_structure(previous, problem):
-    """True when two problems carry identical per-class plan lists.
-
-    Identity (``is``) per plan object: the constraint structure built
-    from them is then guaranteed equal, which is what program adoption
-    relies on.  Statement labels and class memberships must match too —
-    the cost vector is rebuilt through label-keyed weight lookups.
-    """
-
-    def members(problem):
-        return [(statement.label, head.label)
-                for statement, head in problem.representative.items()]
-
-    def matches(left, right):
-        if len(left) != len(right):
-            return False
-        for (stmt_a, plans_a), (stmt_b, plans_b) in zip(left.items(),
-                                                        right.items()):
-            if stmt_a.label != stmt_b.label \
-                    or len(plans_a) != len(plans_b):
-                return False
-            if any(a is not b for a, b in zip(plans_a, plans_b)):
-                return False
-        return True
-
-    return (members(previous) == members(problem)
-            and matches(previous.query_classes, problem.query_classes)
-            and matches(previous.update_classes, problem.update_classes))
-
-
 class SelectionProgram:
     """Rows, columns and the solver call shared by the selection BIPs.
 
@@ -153,7 +123,15 @@ class SelectionProgram:
                 links[index.key] = row
             self._entries.append((row, column, 1.0))
 
-    def _matrix(self, extra_entries=(), extra_bounds=()):
+    def _solve_rows(self):
+        """Rows set per solve rather than built, as ``(lower, upper,
+        terms)``; :meth:`_matrix` places them after the base rows."""
+        return []
+
+    def _matrix(self, cost_cap=None):
+        """The constraint matrix: the base rows, the per-solve rows of
+        :meth:`_solve_rows`, then — given ``cost_cap`` — the cost cut
+        ``cost @ x <= cost_cap`` as the last row."""
         if self._entry_arrays is None:
             self._entry_arrays = (
                 np.asarray([e[0] for e in self._entries]),
@@ -161,7 +139,13 @@ class SelectionProgram:
                 np.asarray([e[2] for e in self._entries], dtype=float),
             )
         rows, columns, values = self._entry_arrays
-        if not extra_entries and not extra_bounds:
+        extra = self._solve_rows()
+        if cost_cap is not None:
+            extra.append((-np.inf, cost_cap,
+                          [(column, value)
+                           for column, value in enumerate(self.costs)
+                           if value != 0.0]))
+        if not extra:
             if self._base_constraint is None:
                 matrix = csr_matrix(
                     (values, (rows, columns)),
@@ -170,19 +154,20 @@ class SelectionProgram:
                     matrix, np.asarray(self._lower, dtype=float),
                     np.asarray(self._upper, dtype=float))
             return self._base_constraint
-        rows = np.concatenate([rows, [e[0] for e in extra_entries]])
-        columns = np.concatenate([columns,
-                                  [e[1] for e in extra_entries]])
-        values = np.concatenate([values, [e[2] for e in extra_entries]])
-        lower = list(self._lower) + [b[0] for b in extra_bounds]
-        upper = list(self._upper) + [b[1] for b in extra_bounds]
+        entries = [(len(self._lower) + offset, column, value)
+                   for offset, (_lower, _upper, terms) in enumerate(extra)
+                   for column, value in terms]
+        rows = np.concatenate([rows, [e[0] for e in entries]])
+        columns = np.concatenate([columns, [e[1] for e in entries]])
+        values = np.concatenate([values, [e[2] for e in entries]])
+        lower = list(self._lower) + [row[0] for row in extra]
+        upper = list(self._upper) + [row[1] for row in extra]
         matrix = csr_matrix((values, (rows, columns)),
                             shape=(len(lower), self.columns))
         return LinearConstraint(matrix, np.asarray(lower),
                                 np.asarray(upper))
 
-    def _solve(self, objective, constraints, options=None, bounds=None,
-               integrality=None):
+    def _solve(self, objective, constraints, options=None, bounds=None):
         # Only the column-family selection variables need integrality:
         # for any 0/1 selection, every plan whose column families are
         # all selected is feasible on its own (the aggregated links
@@ -190,13 +175,10 @@ class SelectionProgram:
         # attains its optimum at a pure plan — fractional plan mixes
         # can never beat the cheapest feasible plan.  Declaring the
         # plan variables continuous cuts the binaries from thousands to
-        # the number of candidates.  ``integrality`` overrides (the LP
-        # gate passes all-zeros for the relaxation).
-        if integrality is None:
-            if self._integrality is None:
-                self._integrality = np.zeros(self.columns)
-                self._integrality[:self.binaries] = 1
-            integrality = self._integrality
+        # the number of candidates.
+        if self._integrality is None:
+            self._integrality = np.zeros(self.columns)
+            self._integrality[:self.binaries] = 1
         if bounds is None:
             if self._unit_bounds is None:
                 self._unit_bounds = Bounds(0, 1)
@@ -204,7 +186,7 @@ class SelectionProgram:
         result = milp(
             c=np.asarray(objective),
             constraints=constraints,
-            integrality=integrality,
+            integrality=self._integrality,
             bounds=bounds,
             options=options or {},
         )
@@ -222,93 +204,49 @@ class SelectionProgram:
         """The error message for a failed solve."""
         return f"BIP solve failed: {result.message}"
 
-    def _cost_cut(self, bound):
-        """The base constraints plus ``cost @ x <= bound`` as one row."""
-        row = len(self._lower)
-        cut = [(row, column, value)
-               for column, value in enumerate(self.costs)
-               if value != 0.0]
-        return self._matrix(extra_entries=cut,
-                            extra_bounds=[(-np.inf, bound)])
-
 
 class _Program(SelectionProgram):
     """A fully materialized BIP instance, ready to optimize.
 
     The constraint structure depends only on the plan spaces, never on
-    the statement weights — weights enter through the cost vector alone.
-    :meth:`reweight` therefore re-costs a built program in place, and
-    the constraint matrix, integrality vector and variable bounds are
-    each materialized once and reused across solves.
+    the statement weights or the space limit — weights enter through
+    the cost vector alone, and the space row is set per solve from
+    ``problem.space_limit`` (:meth:`_solve_rows`).  One program
+    therefore serves every solve over its plan spaces: :meth:`reweight`
+    re-costs it in place, and the base constraint matrix, integrality
+    vector and variable bounds are each materialized once and reused.
     """
 
-    def __init__(self, problem, previous=None):
+    def __init__(self, problem):
         self.problem = problem
         self.indexes = problem.indexes
         self.index_column = {index.key: column
                              for column, index in enumerate(self.indexes)}
         super().__init__(len(self.indexes), len(self.indexes))
-        #: rows/entries belonging to the weight- and space-independent
-        #: constraint structure (everything but the space row); lets a
-        #: later program over the same plan spaces adopt the structure
-        self._structure_rows = 0
-        self._structure_entries = 0
         #: lazily built index arrays for vectorized reweighting
         self._reweight_arrays = None
         #: wall-clock seconds of the last optimize(), split so the
         #: advisor can attribute solving vs result extraction honestly
         self.solve_seconds = 0.0
         self.extract_seconds = 0.0
-        adopted = previous is not None and self._adopt(previous)
-        if not adopted:
-            self._build()
+        self._add_block(problem.query_classes, problem.update_classes,
+                        problem.class_weight, self.index_column)
         active = telemetry.current()
         if active.enabled:
             active.gauge("bip.columns", self.columns)
             active.gauge("bip.binary_columns", self.binaries)
             active.gauge("bip.rows", len(self._lower))
             active.gauge("bip.nonzeros", len(self._entries))
-            if adopted:
-                active.count("bip.programs_adopted")
 
-    # -- construction -----------------------------------------------------
-
-    def _adopt(self, previous):
-        """Rebuild incrementally from a previous program.
-
-        The constraint structure (choose-one rows, support gates, plan
-        links) is a pure function of the plan spaces, so when the new
-        problem carries the *same plan objects per statement* — e.g.
-        the same prepared workload solved under a different space limit
-        or with new weights — the previous program's rows and columns
-        are adopted wholesale, only the space row and cost vector are
-        rebuilt, and construction work is skipped.  Returns False (and
-        leaves the program untouched) when the plan spaces differ, in
-        which case the caller falls back to a full build.
-        """
-        if not _same_plan_structure(previous.problem, self.problem):
-            return False
-        self.indexes = previous.indexes
-        self.index_column = previous.index_column
-        self.columns = previous.columns
-        self.plan_columns = list(previous.plan_columns)
-        self.support_columns = list(previous.support_columns)
-        self._entries = previous._entries[:previous._structure_entries]
-        self._lower = previous._lower[:previous._structure_rows]
-        self._upper = previous._upper[:previous._structure_rows]
-        self._structure_rows = previous._structure_rows
-        self._structure_entries = previous._structure_entries
-        self._append_space_row()
-        if self.problem.space_limit == previous.problem.space_limit:
-            # identical matrices: the materialized solver inputs
-            # (constraint matrix, entry arrays) carry over as well
-            self._base_constraint = previous._base_constraint
-            self._entry_arrays = previous._entry_arrays
-        self._integrality = previous._integrality
-        self._unit_bounds = previous._unit_bounds
-        self.costs = [0.0] * self.columns
-        self.reweight(self.problem.weights)
-        return True
+    def _solve_rows(self):
+        """The space row, under a space limit: selected sizes sum to
+        at most ``problem.space_limit``."""
+        limit = self.problem.space_limit
+        if limit is None:
+            return []
+        return [(-np.inf, float(limit),
+                 [(column, index.size)
+                  for column, index in enumerate(self.indexes)])]
 
     def _failure(self, result):
         limit = self.problem.space_limit
@@ -319,22 +257,6 @@ class _Program(SelectionProgram):
             return (f"no schema fits within space_limit={limit:g}: "
                     f"every schema answering the workload is larger")
         return super()._failure(result)
-
-    def _append_space_row(self):
-        problem = self.problem
-        if problem.space_limit is None:
-            return
-        self._add_row(-np.inf, float(problem.space_limit),
-                      [(self.index_column[index.key], index.size)
-                       for index in self.indexes])
-
-    def _build(self):
-        problem = self.problem
-        self._add_block(problem.query_classes, problem.update_classes,
-                        problem.class_weight, self.index_column)
-        self._structure_rows = len(self._lower)
-        self._structure_entries = len(self._entries)
-        self._append_space_row()
 
     # -- re-costing -----------------------------------------------------------
 
@@ -388,8 +310,8 @@ class _Program(SelectionProgram):
     def reweight(self, weights):
         """Re-cost the program for new statement weights, in place.
 
-        Choose-one rows, support gates, plan links and the space row are
-        all weight-independent, so only the cost vector needs rebuilding
+        Choose-one rows, support gates and plan links are all
+        weight-independent, so only the cost vector needs rebuilding
         — the expensive construction work survives a weight change; the
         rebuild itself is vectorized (see :meth:`_reweight_cache`).
         """
@@ -482,66 +404,8 @@ class _Program(SelectionProgram):
         # satisfies cost <= incumbent < incumbent + slack
         return priced.cost + 1e-7 * (1.0 + abs(priced.cost))
 
-    def _solve_gated(self, constraint, options, cost_vector, gate_gap,
-                     warm_keys):
-        """LP-relaxation gate for large programs (lazy activation).
-
-        Solves the LP relaxation first, then a restricted MILP with
-        every column family the relaxation left at zero fixed out
-        (plus the warm-start incumbent's, so its bound stays
-        attainable).  Feasibility is preserved by construction: the
-        aggregated link rows force every LP-supported plan's column
-        families fractionally open, so all plans carrying LP weight
-        survive the restriction and every choose-one row keeps a
-        candidate.  The restricted optimum is accepted when it is
-        within ``gate_gap`` of the LP lower bound — a certificate that
-        no excluded column family can improve the solution by more
-        than the gap — and otherwise the full MILP runs with the
-        restricted solution as an incumbent cost cut.
-        """
-        active = telemetry.current()
-        if active.enabled:
-            active.count("bip.lp_gate_used")
-        binaries = self.binaries
-        relaxed = self._solve(self.costs, [constraint], options,
-                              integrality=np.zeros(self.columns))
-        lp_bound = float(cost_vector @ relaxed.x)
-        support = relaxed.x[:binaries] > 1e-9
-        for key in warm_keys:
-            column = self.index_column.get(key)
-            if column is not None:
-                support[column] = True
-        upper = np.ones(self.columns)
-        upper[:binaries][~support] = 0.0
-        restricted = self._solve(self.costs, [constraint], options,
-                                 bounds=Bounds(0, upper))
-        best_cost = float(cost_vector @ restricted.x)
-        gap = (best_cost - lp_bound) / max(1.0, abs(best_cost))
-        if active.enabled:
-            active.gauge("bip.lp_gate_active_columns",
-                         int(support.sum()))
-            active.gauge("bip.lp_gate_inactive_columns",
-                         int(binaries - support.sum()))
-            active.gauge("bip.lp_bound", lp_bound)
-            active.gauge("bip.lp_gate_gap", gap)
-        if gap <= gate_gap:
-            if active.enabled:
-                active.count("bip.lp_gate_accepted")
-            return restricted, best_cost
-        # the restriction lost too much: full MILP, with the restricted
-        # optimum as an incumbent cost cut (it is a feasible solution
-        # of the full program, so no optimum is cut off)
-        if active.enabled:
-            active.count("bip.lp_gate_fallbacks")
-        slack = 1e-7 * (1.0 + abs(best_cost))
-        result = self._solve(self.costs,
-                             [self._cost_cut(best_cost + slack)],
-                             options)
-        return result, float(cost_vector @ result.x)
-
     def optimize(self, minimize_schema_size=True, mip_rel_gap=1e-4,
-                 time_limit=120.0, warm_start=None,
-                 lp_gate_columns=None, lp_gate_gap=0.01):
+                 time_limit=120.0, warm_start=None):
         """Two-phase solve: min cost, then min #column families.
 
         ``mip_rel_gap`` and ``time_limit`` bound the branch-and-bound
@@ -552,41 +416,21 @@ class _Program(SelectionProgram):
         for the exact semantics — the optimum is never changed, though
         equal-cost ties may resolve differently than an unassisted
         solve).
-
-        ``lp_gate_columns`` arms the LP-relaxation gate: when the
-        program has at least that many binary columns, the first solve
-        runs as LP relaxation + restricted MILP with a gap certificate
-        (see :meth:`_solve_gated`), falling back to the full MILP when
-        the certificate fails.  The result is then optimal within
-        ``lp_gate_gap`` rather than ``mip_rel_gap``.
         """
         active = telemetry.current()
         solve_started = time.perf_counter()
         with active.span("bip_solving"):
             options = {"mip_rel_gap": mip_rel_gap,
                        "time_limit": time_limit}
-            cost_vector = np.asarray(self.costs)
-            warm_keys = ()
             bound = None
             if warm_start is not None:
                 if hasattr(warm_start, "indexes"):
                     warm_start = warm_start.indexes
-                warm_keys = {getattr(index, "key", index)
-                             for index in warm_start}
-                bound = self._warm_bound(warm_keys)
-            if bound is None:
-                constraint = self._matrix()
-            else:
-                constraint = self._cost_cut(bound)
-            gated = (lp_gate_columns is not None
-                     and self.binaries >= lp_gate_columns)
-            if gated:
-                result, best_cost = self._solve_gated(
-                    constraint, options, cost_vector, lp_gate_gap,
-                    warm_keys)
-            else:
-                result = self._solve(self.costs, [constraint], options)
-                best_cost = float(cost_vector @ result.x)
+                bound = self._warm_bound({getattr(index, "key", index)
+                                          for index in warm_start})
+            result = self._solve(self.costs, [self._matrix(bound)],
+                                 options)
+            best_cost = float(np.asarray(self.costs) @ result.x)
             if minimize_schema_size:
                 phase1_seconds = time.perf_counter() - solve_started
                 # pin the cost at the incumbent — slack proportional to
@@ -622,7 +466,7 @@ class _Program(SelectionProgram):
                 phase2_started = time.perf_counter()
                 try:
                     result = self._solve(
-                        objective, [self._cost_cut(best_cost + tolerance)],
+                        objective, [self._matrix(best_cost + tolerance)],
                         phase2_options, bounds=Bounds(0, upper))
                 except OptimizationError:
                     # keep the phase-1 solution; _extract prunes it
@@ -680,34 +524,15 @@ class BIPOptimizer:
     """Facade exposing BIP construction and solving as separate stages,
     so the advisor can report the paper's Fig 13 runtime breakdown."""
 
-    #: a previous solution can seed the solve (incumbent-bound cut)
-    supports_warm_start = True
-    #: prepare() accepts a previous program for incremental rebuild
-    supports_incremental_prepare = True
-
     def __init__(self, minimize_schema_size=True, mip_rel_gap=1e-4,
-                 time_limit=120.0, lp_gate_columns=2048,
-                 lp_gate_gap=0.01):
+                 time_limit=120.0):
         self.minimize_schema_size = minimize_schema_size
         self.mip_rel_gap = mip_rel_gap
         self.time_limit = time_limit
-        #: binary-column count from which the first solve runs as an
-        #: LP relaxation + restricted MILP with a gap certificate
-        #: (None disables the gate); the default is far above every
-        #: demo workload, so small programs keep the exact path
-        self.lp_gate_columns = lp_gate_columns
-        #: accepted optimality gap versus the LP lower bound
-        self.lp_gate_gap = lp_gate_gap
 
-    def prepare(self, problem, previous=None):
-        """Construct the program (the 'BIP construction' stage).
-
-        ``previous`` optionally passes an earlier program; when the new
-        problem spans the same plan spaces (e.g. the same prepared
-        workload under a different space limit), its constraint
-        structure is adopted instead of rebuilt.
-        """
-        return _Program(problem, previous=previous)
+    def prepare(self, problem):
+        """Construct the program (the 'BIP construction' stage)."""
+        return _Program(problem)
 
     def reweight(self, program, weights):
         """Re-cost a prepared program for new statement weights.
@@ -722,7 +547,8 @@ class BIPOptimizer:
     def optimize(self, program, warm_start=None):
         """Solve a prepared program (the 'BIP solving' stage).
 
-        ``warm_start`` may be a previous
+        The space limit is read from ``program.problem.space_limit`` at
+        solve time.  ``warm_start`` may be a previous
         :class:`~repro.optimizer.results.SchemaRecommendation` (or any
         iterable of indexes / index keys); its cost becomes an
         incumbent upper bound on the first solve.
@@ -730,9 +556,7 @@ class BIPOptimizer:
         return program.optimize(self.minimize_schema_size,
                                 mip_rel_gap=self.mip_rel_gap,
                                 time_limit=self.time_limit,
-                                warm_start=warm_start,
-                                lp_gate_columns=self.lp_gate_columns,
-                                lp_gate_gap=self.lp_gate_gap)
+                                warm_start=warm_start)
 
     def solve(self, problem, warm_start=None):
         """Construct and solve in one call."""

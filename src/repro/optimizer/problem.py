@@ -71,7 +71,8 @@ class OptimizationProblem:
     :class:`~repro.planner.plans.UpdatePlan` (one per modified candidate
     column family, support plans costed).  ``weights`` maps statement
     labels to their workload weights.  ``space_limit`` optionally bounds
-    the total estimated size of the recommended schema in bytes.
+    the total estimated size of the recommended schema in bytes; like
+    the weights, it may change between solves of one program.
 
     A workload is weighted statements (paper §III-B), so statements of
     one form — one :func:`~repro.workload.digest.statement_signature`,

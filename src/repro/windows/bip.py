@@ -136,7 +136,7 @@ class WindowedProgram(SelectionProgram):
         if incumbent is None:
             constraint = self._matrix()
         else:
-            constraint = self._cost_cut(
+            constraint = self._matrix(
                 incumbent + 1e-7 * (1.0 + abs(incumbent)))
         result = self._solve(self.costs, [constraint],
                              {"mip_rel_gap": mip_rel_gap,

@@ -90,37 +90,6 @@ def test_bip_matches_brute_force_write_heavy(hotel, pool, statements):
     assert bip.total_cost == pytest.approx(brute.total_cost, rel=1e-6)
 
 
-def test_lp_gate_matches_exact_solve(hotel, pool, statements):
-    """Forcing the LP-relaxation gate must not change the outcome on a
-    brute-forceable instance (accept path or full-MILP fallback)."""
-    from repro import telemetry
-
-    problem = _problem(hotel, pool, statements)
-    exact = BIPOptimizer(lp_gate_columns=None).solve(problem)
-    with telemetry.activate() as sink:
-        gated = BIPOptimizer(lp_gate_columns=1).solve(
-            _problem(hotel, pool, statements))
-    counters = sink.report().metrics["counters"]
-    assert counters["bip.lp_gate_used"] == 1
-    assert counters.get("bip.lp_gate_accepted", 0) \
-        + counters.get("bip.lp_gate_fallbacks", 0) == 1
-    assert gated.total_cost == pytest.approx(exact.total_cost,
-                                             rel=1e-6)
-    assert {i.key for i in gated.indexes} \
-        == {i.key for i in exact.indexes}
-
-
-def test_lp_gate_write_heavy_matches_brute_force(hotel, pool,
-                                                 statements):
-    problem = _problem(hotel, pool, statements,
-                       weights=(1.0, 1.0, 500.0))
-    brute = BruteForceOptimizer().solve(problem)
-    gated = BIPOptimizer(lp_gate_columns=1, lp_gate_gap=0.0).solve(
-        _problem(hotel, pool, statements, weights=(1.0, 1.0, 500.0)))
-    assert gated.total_cost == pytest.approx(brute.total_cost,
-                                             rel=1e-6)
-
-
 def test_reweight_matches_fresh_build(hotel, pool, statements):
     """The vectorized reweight must equal a from-scratch cost vector."""
     optimizer = BIPOptimizer()

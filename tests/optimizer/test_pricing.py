@@ -29,7 +29,7 @@ def _solved(model, workload):
     advisor = Advisor(model, optimizer=BIPOptimizer(mip_rel_gap=0.0))
     prepared = advisor.prepare(workload)
     recommendation = advisor.recommend_prepared(prepared)
-    return recommendation, prepared._programs[None].problem
+    return recommendation, prepared._program.problem
 
 
 def _hotel():

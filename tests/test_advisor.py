@@ -1,8 +1,10 @@
 """Integration tests for the end-to-end schema advisor."""
 
+import json
+
 import pytest
 
-from repro import Advisor, Workload
+from repro import Advisor, Workload, telemetry
 from repro.advisor import prune_dominated_plans
 from repro.cost import SimpleCostModel
 from repro.demo import hotel_model, hotel_workload
@@ -143,3 +145,37 @@ def test_space_limit_below_every_schema_names_the_limit(
     model, workload, _recommendation = read_recommendation
     with pytest.raises(OptimizationError, match="space_limit=1:"):
         Advisor(model).recommend(workload, space_limit=1.0)
+
+
+def _explained(advisor, workload, space_limit):
+    """The advisor's explain document (JSON text), or the error text
+    when no schema fits ``space_limit``."""
+    try:
+        recommendation = advisor.recommend(workload,
+                                           space_limit=space_limit)
+    except OptimizationError as error:
+        return f"error: {error}"
+    return json.dumps(recommendation.explain_document(), sort_keys=True)
+
+
+def test_space_limit_sweep_reuses_one_program():
+    """The space limit is a solve input: one advisor sweeping it builds
+    one program, and each solve matches a fresh advisor's byte for
+    byte — the infeasible budgets included."""
+    model = hotel_model()
+    workload = hotel_workload(model, include_updates=True)
+    advisor = Advisor(model)
+    with telemetry.activate() as sink:
+        full = advisor.recommend(workload)
+        full_size = full.size
+        limits = [None] + [full_size * fraction for fraction
+                           in (0.9, 0.75, 0.6, 0.5, 0.4)] + [None]
+        swept = [_explained(advisor, workload, limit) for limit in limits]
+    counters = sink.report().metrics["counters"]
+    assert counters["bip.programs_built"] == 1
+    fresh = [_explained(Advisor(model), workload, limit)
+             for limit in limits]
+    assert swept == fresh
+    assert any(text.startswith("error: no schema fits")
+               for text in swept)
+    assert sum(not text.startswith("error") for text in swept) >= 4
