@@ -109,8 +109,6 @@ def _measure(model, size):
         "candidates": len(prepared.candidates),
         "query_plan_count": prepared.plan_count,
         "recommended_column_families": len(recommendation.indexes),
-        "prune_vector_spaces": counters.get("prune.vector_spaces", 0),
-        "prune_scalar_spaces": counters.get("prune.scalar_spaces", 0),
         "parallel_fallback_serial": counters.get(
             "parallel.fallback_serial", 0),
     }

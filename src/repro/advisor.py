@@ -97,9 +97,8 @@ def prune_plan_space(plans, keep=None, removals=None):
     solve as well.  This typically halves the BIP's plan columns.
     ``keep`` caps the result (cheapest first) after both rules.
     ``removals`` collects pruning-ledger entries as in
-    :func:`prune_dominated_plans`.  The superset rule runs on
-    :func:`repro.dominance.superset_filter`, which picks its engine by
-    space size.
+    :func:`prune_dominated_plans`.  The superset rule is the
+    pure-Python scan of :func:`repro.dominance.superset_filter`.
     """
     plans = list(plans)
     pruned = dominance.dedupe_cheapest(plans, removals=removals)
@@ -831,10 +830,10 @@ class Advisor:
             # the cap, so artifacts costed+pruned under the same model
             # and cap serve their pruned plans and ledger records as-is.
             # Statements prune independently (each plan belongs to
-            # exactly one space), so misses fan out on threads — the
-            # vector engine's matrix products release the GIL — while
-            # the ledger is filled parent-side in workload order, hits
-            # and misses interleaved exactly as the serial loop would.
+            # exactly one space), so misses go through parallel_map
+            # like the other stages, while the ledger is filled
+            # parent-side in workload order, hits and misses
+            # interleaved exactly as the serial loop would.
             query_key = (id(self.cost_model), self.prune_to)
             reused_prunes = 0
 

@@ -1,33 +1,16 @@
-"""Dominance pruning over candidate-set bitsets.
+"""Dominance pruning over column-family sets.
 
 The advisor's plan-space pruning applies two rules per statement
 (:func:`repro.advisor.prune_plan_space`): keep the cheapest plan per
-distinct column-family set, then drop any plan whose column-family set
-is a proper superset of a cheaper kept plan's.  The superset rule is
-the expensive one — it compares every plan against every cheaper
-survivor — and this module implements it twice:
-
-* a **scalar** engine, the reference pairwise scan over ``frozenset``
-  keys, and
-* a **vector** engine that encodes each plan's column-family set as one
-  row of a boolean membership matrix (one column per column family) and
-  answers all pairwise subset tests with a single matrix product:
-  ``keys_j ⊆ keys_i  ⟺  |keys_i ∩ keys_j| == |keys_j|``, where the
-  intersection sizes are ``M @ M.T``.
-
-Both engines produce byte-identical results — the same kept plans in
-the same order and the same pruning-ledger entries, each dominated plan
-attributed to the *first kept* cheaper plan whose set it contains
-(ascending (cost, signature) order).  The scalar loop only ever tests
-kept plans; the vector path tests *all* earlier plans, which is
-equivalent by transitivity: a dominated dominator's own kept dominator
-is a subset of it, hence also of the dominated plan.
-
-Engine choice is by size alone: spaces of at least
-:data:`VECTOR_MIN_PLANS` plans take the vector path, smaller ones the
-scalar scan, whose matrix build would cost more than the scan it
-replaces.  ``tests/test_dominance.py`` holds the two engines to the same
-output on the demo and randgen plan spaces.
+distinct column-family set (:func:`dedupe_cheapest`), then drop any
+plan whose column-family set is a proper superset of a cheaper kept
+plan's (:func:`superset_filter`).  The superset rule is one pure-Python
+scan: each plan, in ascending (cost, signature) order, is tested with
+``frozenset`` proper-subset checks against the plans kept so far, and
+each dropped plan's ledger entry names the first kept dominator.
+Testing kept plans only is enough: by transitivity, a dropped plan's
+kept dominator is a proper subset of every set that contains the
+dropped plan's.
 
 The module also hosts the vectorized maintenance-plan reachability
 closure (:func:`reachable_update_plans`): one boolean support-matrix
@@ -39,19 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import telemetry
 from repro.explain import prune_entry
 
 __all__ = [
-    "VECTOR_MIN_PLANS",
     "dedupe_cheapest",
     "plan_keys",
     "reachable_update_plans",
     "superset_filter",
 ]
 
-#: below this many plans the scalar scan beats building the matrices
-VECTOR_MIN_PLANS = 64
 
 def _signature(plan):
     # cost ties are broken by plan signature for reproducibility; plain
@@ -63,7 +42,7 @@ def plan_keys(plan):
     """The plan's column-family key set, cached on the plan.
 
     Pruning consults each plan's set several times (dedupe, superset
-    matrix build, reachability seeding); the steps are immutable, so
+    scan, reachability seeding); the steps are immutable, so
     the frozenset is computed once.  Slotted stand-ins that cannot take
     the attribute are handled by recomputing.
     """
@@ -122,18 +101,6 @@ def superset_filter(plans, removals=None):
     ``removals`` receives one ``superset-cfset`` entry per dropped
     plan, attributed to its first kept dominator.
     """
-    plans = list(plans)
-    use_vector = len(plans) >= VECTOR_MIN_PLANS
-    active = telemetry.current()
-    if active.enabled:
-        active.count("prune.vector_spaces" if use_vector
-                     else "prune.scalar_spaces")
-    if use_vector:
-        return _superset_vector(plans, removals)
-    return _superset_scalar(plans, removals)
-
-
-def _superset_scalar(plans, removals):
     kept = []
     kept_keys = []
     for plan in plans:
@@ -149,50 +116,6 @@ def _superset_scalar(plans, removals):
             continue
         kept.append(plan)
         kept_keys.append(keys)
-    return kept
-
-
-def _superset_vector(plans, removals):
-    count = len(plans)
-    if count < 2:
-        return plans
-    keysets = [plan_keys(plan) for plan in plans]
-    columns = {}
-    for keyset in keysets:
-        for key in keyset:
-            if key not in columns:
-                columns[key] = len(columns)
-    width = len(columns)
-    if width == 0:
-        # all-empty sets are pairwise equal, never proper sub/supersets
-        return plans
-    matrix = np.zeros((count, width), dtype=np.float32)
-    for row, keyset in enumerate(keysets):
-        for key in keyset:
-            matrix[row, columns[key]] = 1.0
-    # intersections[i, j] = |keys_i ∩ keys_j|; the values are small
-    # integers, exact in float32
-    popcount = matrix.sum(axis=1)
-    intersections = matrix @ matrix.T
-    # proper subset: full containment and strictly smaller set (sets
-    # are pairwise distinct after dedupe, so equality means identity)
-    subset = (intersections == popcount[None, :]) \
-        & (popcount[None, :] < popcount[:, None])
-    earlier = np.tri(count, count, -1, dtype=bool)
-    dominating = subset & earlier
-    dominated = dominating.any(axis=1)
-    if not dominated.any():
-        return plans
-    kept = [plan for plan, dead in zip(plans, dominated) if not dead]
-    if removals is not None:
-        # the ledger names the first *kept* dominator, matching the
-        # scalar scan; every dominated plan has one by transitivity
-        allowed = dominating & ~dominated[None, :]
-        dominators = np.argmax(allowed, axis=1)
-        for position in np.flatnonzero(dominated):
-            removals.append(prune_entry(
-                plans[position], "superset-cfset",
-                dominated_by=plans[int(dominators[position])]))
     return kept
 
 

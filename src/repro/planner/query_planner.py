@@ -633,7 +633,11 @@ class _PlannerState:
                     out = groups
                 if limit is not None:
                     final_steps.append(LimitStep(limit, out))
-                self.plans[signature] = QueryPlan(self.query, final_steps)
+                plan = QueryPlan(self.query, final_steps)
+                # the dedup key is the plan's signature: stamp it so
+                # pruning's (cost, signature) sorts never rebuild it
+                plan._signature = signature
+                self.plans[signature] = plan
             if len(self.plans) >= self.max_plans:
                 if variant < last_variant:
                     self.truncated = True

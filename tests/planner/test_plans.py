@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro import Advisor
 from repro.cost import SimpleCostModel
 from repro.indexes import entity_fetch_index, materialized_view_for
 from repro.planner import QueryPlanner
-from repro.planner.plans import QueryPlan, UpdatePlan
+from repro.planner.plans import QueryPlan, UnionPlan, UpdatePlan
 from repro.planner.steps import (
     DeleteStep,
     FilterStep,
@@ -14,6 +15,7 @@ from repro.planner.steps import (
     LimitStep,
     SortStep,
 )
+from repro.rubis import rubis_model, rubis_workload
 from repro.workload import parse_statement
 from repro.workload.conditions import Condition
 
@@ -50,6 +52,36 @@ def test_plan_signature_distinguishes_structure(hotel, plan):
     fetch = entity_fetch_index(hotel.entity("Guest"))
     other = QueryPlanner(hotel, [fetch]).plans_for(query)[0]
     assert other.signature != plan.signature
+
+
+def _fresh_signature(plan):
+    """The signature a newly built plan of the same structure has."""
+    if isinstance(plan, UnionPlan):
+        return UnionPlan(plan.query, plan.branch_plans,
+                         plan.tail_steps).signature
+    return QueryPlan(plan.query, plan.steps).signature
+
+
+@pytest.mark.filterwarnings("ignore::repro.TruncationWarning")
+@pytest.mark.parametrize("application", ["hotel", "rubis-bidding"])
+def test_planner_stamps_signature_at_creation(application, hotel,
+                                              hotel_full):
+    if application == "hotel":
+        model, workload = hotel, hotel_full
+    else:
+        model = rubis_model(users=2_000)
+        workload = rubis_workload(model, mix="bidding")
+    prepared = Advisor(model).prepare(workload)
+    spaces = list(prepared.query_plans.values())
+    for update_plans in prepared.update_plans.values():
+        for update_plan in update_plans:
+            spaces.extend(update_plan.support_plans_by_query.values())
+    plans = [plan for space in spaces for plan in space]
+    assert plans
+    for plan in plans:
+        # read the slot, not the property, which would fill it
+        assert plan._signature is not None
+        assert plan._signature == _fresh_signature(plan)
 
 
 def test_plan_cardinality_is_last_step(plan):

@@ -1,22 +1,24 @@
-"""The two superset-rule engines of :mod:`repro.dominance` agree.
+"""``superset_filter`` implements the superset-cfset rule exactly.
 
-``superset_filter`` picks the vector engine for large plan spaces and
-the scalar scan, the reference, for small ones.  Both are run here on
-every deduplicated plan space of three workloads, and must keep the
-same plans in the same order and write the same ledger entries.
+The rule's definition is the oracle: over a deduplicated plan list in
+ascending (cost, signature) order, a plan is kept iff no *earlier*
+plan's column-family set is a proper subset of its own, and each
+dropped plan's ledger entry names the first kept such plan.  The scan
+itself only tests kept plans; the oracle tests all earlier ones.  It
+is checked on every deduplicated plan space of three workloads and on
+two synthetic 500-plan extremes.
 """
 
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro import Advisor, Workload
 from repro.demo import hotel_model, hotel_workload
-from repro.dominance import (
-    _superset_scalar,
-    _superset_vector,
-    dedupe_cheapest,
-)
+from repro.dominance import dedupe_cheapest, plan_keys, superset_filter
+from repro.explain import prune_entry
 from repro.randgen import random_model
 from repro.randgen.statements import _random_query, _random_update
 from repro.rubis import rubis_model, rubis_workload
@@ -78,18 +80,64 @@ def _plan_spaces(model, workload):
     return deduplicated
 
 
+def _oracle(plans):
+    """The rule by definition: kept plans and ledger entries."""
+    keys = [plan_keys(plan) for plan in plans]
+    dominated = [any(keys[earlier] < keys[position]
+                     for earlier in range(position))
+                 for position in range(len(plans))]
+    kept = [plan for plan, dead in zip(plans, dominated) if not dead]
+    removals = []
+    for position, plan in enumerate(plans):
+        if dominated[position]:
+            first = next(earlier for earlier in range(position)
+                         if not dominated[earlier]
+                         and keys[earlier] < keys[position])
+            removals.append(prune_entry(plan, "superset-cfset",
+                                        dominated_by=plans[first]))
+    return kept, removals
+
+
+def _assert_matches_oracle(plans):
+    removals = []
+    kept = superset_filter(plans, removals)
+    expected_kept, expected_removals = _oracle(plans)
+    assert [id(plan) for plan in kept] \
+        == [id(plan) for plan in expected_kept]
+    assert removals == expected_removals
+    return removals
+
+
 @pytest.mark.parametrize("workload", [_hotel, _rubis_bidding, _template],
                          ids=["hotel", "rubis-bidding", "randgen"])
-def test_scalar_and_vector_engines_agree(workload):
-    spaces = _plan_spaces(*workload())
+def test_superset_filter_matches_rule_definition(workload):
     dominated = 0
-    for plans in spaces:
-        scalar_removals, vector_removals = [], []
-        scalar = _superset_scalar(plans, scalar_removals)
-        vector = _superset_vector(plans, vector_removals)
-        assert [id(plan) for plan in vector] \
-            == [id(plan) for plan in scalar]
-        assert vector_removals == scalar_removals
-        dominated += len(scalar_removals)
+    for plans in _plan_spaces(*workload()):
+        dominated += len(_assert_matches_oracle(plans))
     # the spaces are non-trivial: the rule actually drops plans
     assert dominated > 0
+
+
+def _synthetic(keysets):
+    """Stand-in plans over ``keysets``, listed in ascending cost."""
+    return [SimpleNamespace(
+                indexes=tuple(SimpleNamespace(key=f"cf{key}")
+                              for key in sorted(keyset)),
+                cost=float(position), signature=f"p{position}")
+            for position, keyset in enumerate(keysets)]
+
+
+def test_incomparable_sets_are_all_kept():
+    # distinct sets of one size are pairwise incomparable
+    keysets = list(itertools.combinations(range(20), 3))[:500]
+    plans = _synthetic(keysets)
+    assert superset_filter(plans) == plans
+    assert _assert_matches_oracle(plans) == []
+
+
+def test_subset_chain_keeps_only_the_smallest():
+    plans = _synthetic([range(size) for size in range(1, 501)])
+    removals = _assert_matches_oracle(plans)
+    assert superset_filter(plans) == plans[:1]
+    assert len(removals) == 499
+    assert {entry["dominated_by"] for entry in removals} == {"p0"}
