@@ -29,7 +29,7 @@ import random
 import time
 
 from bench_common import write_result
-from repro import Advisor, telemetry
+from repro import Advisor
 from repro.randgen import random_model
 from repro.randgen.statements import (
     _random_insert,
@@ -92,14 +92,12 @@ def template_workload(model, statements, templates=TEMPLATES, seed=17):
 def _measure(model, size):
     workload = template_workload(model, size)
     advisor = Advisor(model)
-    with telemetry.activate() as sink:
-        started = time.perf_counter()
-        prepared = advisor.prepare(workload)
-        prepare_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        recommendation = advisor.recommend_prepared(prepared)
-        recommend_seconds = time.perf_counter() - started
-    counters = sink.report().metrics["counters"]
+    started = time.perf_counter()
+    prepared = advisor.prepare(workload)
+    prepare_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    recommendation = advisor.recommend_prepared(prepared)
+    recommend_seconds = time.perf_counter() - started
     return {
         "statements": len(list(workload.statements)),
         "prepare_seconds": prepare_seconds,
@@ -109,8 +107,6 @@ def _measure(model, size):
         "candidates": len(prepared.candidates),
         "query_plan_count": prepared.plan_count,
         "recommended_column_families": len(recommendation.indexes),
-        "parallel_fallback_serial": counters.get(
-            "parallel.fallback_serial", 0),
     }
 
 

@@ -18,7 +18,6 @@ one-shot entry point as a thin wrapper over the two stages.
 
 from __future__ import annotations
 
-import inspect
 import logging
 import time
 import warnings
@@ -32,7 +31,6 @@ from repro.exceptions import OptimizationError, TruncationWarning
 from repro.explain import ExplainData, prune_entry, prune_record
 from repro.optimizer import BIPOptimizer, OptimizationProblem
 from repro.optimizer.results import SchemaRecommendation
-from repro.parallel import parallel_map
 from repro.pipeline import (
     ArtifactStore,
     PlanArtifact,
@@ -53,11 +51,11 @@ __all__ = [
 
 logger = logging.getLogger("repro.advisor")
 
+#: prepared workloads an advisor keeps (FIFO-evicted), keyed by structure
+PREPARED_CACHE_SIZE = 8
 
-def _signature(plan):
-    # cost ties are broken by plan signature for reproducibility; plain
-    # stand-in plan objects (as used in tests) may not carry one
-    return dominance._signature(plan)
+#: per-statement artifacts an advisor's store keeps (LRU-evicted)
+ARTIFACT_CACHE_SIZE = 4096
 
 
 def prune_dominated_plans(plans, keep=None, removals=None):
@@ -356,14 +354,13 @@ class Advisor:
     ``cost_model`` defaults to the Cassandra-style model; ``enumerator``
     may be swapped for the ablation studies, and ``optimizer`` is a
     :class:`~repro.optimizer.BIPOptimizer` (pass one to change its gap
-    or time limit).  ``jobs`` fans per-statement planning and costing
-    over a thread pool.
+    or time limit).  Every stage runs serially, one statement form at a
+    time in workload order.
     """
 
     def __init__(self, model, cost_model=None, enumerator=None,
                  optimizer=None, max_plans=500, prune_to=32,
-                 support_prune_to=8, jobs=None, cache_size=8,
-                 artifact_cache_size=4096):
+                 support_prune_to=8):
         self.model = model
         self.cost_model = cost_model or CassandraCostModel()
         self.enumerator = enumerator or CandidateEnumerator(model)
@@ -373,32 +370,17 @@ class Advisor:
         self.prune_to = prune_to
         #: plans kept per support query (their spaces are much denser)
         self.support_prune_to = support_prune_to
-        #: worker threads for per-statement planning/costing (None = serial)
-        self.jobs = jobs
-        #: prepared workloads kept (FIFO-evicted), keyed by structure
-        self.cache_size = cache_size
+        #: prepared workloads, keyed by structure
         self._prepared = {}
         #: per-statement artifacts (enumeration, plan spaces,
         #: maintenance plans), keyed by structural signature + stage
         #: config; every prepare — cold or incremental — goes through
         #: it, so editing one statement replans only that statement
-        self.artifacts = ArtifactStore(artifact_cache_size)
+        self.artifacts = ArtifactStore(ARTIFACT_CACHE_SIZE)
 
     # -- main entry point ----------------------------------------------------
 
-    def _effective_jobs(self, jobs=None):
-        """The one resolution path for the worker count.
-
-        Every stage that fans out — planning, costing, pruning — takes
-        its ``jobs`` through here, so a per-call override on
-        :meth:`prepare`, :meth:`recommend` or :meth:`recommend_prepared`
-        is honored everywhere instead of silently reverting to the
-        advisor-wide default mid-pipeline.
-        """
-        return self.jobs if jobs is None else jobs
-
-    def recommend(self, workload, space_limit=None, jobs=None,
-                  warm_start=None):
+    def recommend(self, workload, space_limit=None, warm_start=None):
         """Recommend a schema and one plan per statement for a workload.
 
         A thin wrapper over :meth:`prepare` + :meth:`recommend_prepared`:
@@ -409,11 +391,10 @@ class Advisor:
         incumbent — see :meth:`recommend_prepared`.
         """
         with telemetry.current().span("recommend"):
-            prepared = self.prepare(workload, jobs=jobs)
+            prepared = self.prepare(workload)
             return self.recommend_prepared(prepared, weights=workload,
                                            space_limit=space_limit,
-                                           warm_start=warm_start,
-                                           jobs=jobs)
+                                           warm_start=warm_start)
 
     # -- stage 1: enumeration + planning -------------------------------------
 
@@ -422,7 +403,7 @@ class Advisor:
                            in workload.weighted_statements)
         return (statements, self.max_plans)
 
-    def prepare(self, workload, jobs=None):
+    def prepare(self, workload):
         """Enumerate candidates and generate per-statement plan spaces.
 
         Preparation is incremental at two levels.  Whole prepared
@@ -439,10 +420,8 @@ class Advisor:
         BIP look across statements and always re-run).  Cold and
         incremental prepares share this one code path — a fresh advisor
         simply starts with an empty store — so incremental results are
-        identical to cold ones by construction.  ``jobs`` overrides the
-        advisor-wide worker count for this call.
+        identical to cold ones by construction.
         """
-        jobs = self._effective_jobs(jobs)
         active = telemetry.current()
         key = self._workload_key(workload)
         prepared = self._prepared.get(key)
@@ -461,7 +440,10 @@ class Advisor:
 
         with active.span("enumeration"):
             started = time.perf_counter()
-            candidates = self._enumerate(workload)
+            # the enumerator serves per-statement candidate sets (with
+            # replayed provenance) from the artifact store
+            candidates = self.enumerator.candidates(
+                workload, store=self.artifacts)
             enumeration_seconds = time.perf_counter() - started
 
         with active.span("planning"):
@@ -471,11 +453,11 @@ class Advisor:
             update_planner = UpdatePlanner(self.model, planner)
             plan_artifacts = {}
             query_plans, reused_queries = self._plan_queries(
-                workload.queries, planner, plan_artifacts, jobs)
+                workload.queries, planner, plan_artifacts)
             update_artifacts = {}
             update_plans, reused_updates = self._plan_updates(
                 workload.updates, planner, update_planner,
-                update_artifacts, jobs)
+                update_artifacts)
             planning_seconds = time.perf_counter() - stage
 
         prepared = PreparedWorkload(key, workload, candidates,
@@ -496,29 +478,12 @@ class Advisor:
             active.count("planner.truncated_statements",
                          len(prepared.truncated))
         self._warn_truncation(prepared)
-        if len(self._prepared) >= self.cache_size:
+        if len(self._prepared) >= PREPARED_CACHE_SIZE:
             self._prepared.pop(next(iter(self._prepared)))
         self._prepared[key] = prepared
         return prepared
 
-    def _enumerate(self, workload):
-        """Run enumeration through the artifact store when supported.
-
-        The default :class:`~repro.enumerator.CandidateEnumerator`
-        serves per-statement candidate sets (with replayed provenance)
-        from the store; custom enumerators without the ``store``
-        keyword keep working uncached.
-        """
-        candidates = self.enumerator.candidates
-        try:
-            parameters = inspect.signature(candidates).parameters
-        except (TypeError, ValueError):  # C callables and odd stand-ins
-            parameters = {}
-        if "store" in parameters:
-            return candidates(workload, store=self.artifacts)
-        return candidates(workload)
-
-    def _plan_queries(self, queries, planner, artifacts, jobs):
+    def _plan_queries(self, queries, planner, artifacts):
         """Per-query plan spaces: ``({query: space}, reused count)``.
 
         A query's plan space is a pure function of its structure, the
@@ -530,11 +495,9 @@ class Advisor:
         the queries of one form share one space, planned for the first
         of them (costing and pruning then also run once per form, and
         the optimizer rebinds the chosen plan to each query; see
-        :class:`~repro.optimizer.OptimizationProblem`).  Misses are
-        planned on a forked process pool (the
-        plan-space DFS is CPU-bound pure Python, which threads cannot
-        speed up) — the workers only plan, the parent owns the artifact
-        store, and store order follows the workload.
+        :class:`~repro.optimizer.OptimizationProblem`).  Every form is
+        looked up first, then the misses are planned and stored in
+        workload order.
         """
         store = self.artifacts
         keys = {}      # signature -> artifact key
@@ -557,11 +520,8 @@ class Advisor:
             if resolved[key] is not None:
                 reused += 1
             forms.append((query, key))
-        planned = parallel_map(
-            lambda item: planner.plans_for(item[1]), missing, jobs=jobs,
-            backend="process")
-        for (key, _query), space in zip(missing, planned):
-            resolved[key] = PlanArtifact(space)
+        for key, query in missing:
+            resolved[key] = PlanArtifact(planner.plans_for(query))
             store.put(key, resolved[key])
         spaces = {}
         for query, key in forms:
@@ -570,7 +530,7 @@ class Advisor:
         return spaces, reused
 
     def _plan_updates(self, updates, planner, update_planner,
-                      artifacts, jobs):
+                      artifacts):
         """Maintenance plans: ``({update: [UpdatePlan]}, reused count)``.
 
         One artifact per (update form, modified column family) pair,
@@ -578,14 +538,9 @@ class Advisor:
         support-plan cap and a fingerprint of the pool subset each
         support query can touch; as for queries, the updates of one form
         share their artifacts.  An update counts as reused only when
-        every one of its pairs was served from the store.
-
-        The parent walks the pool, resolves keys and serves store hits;
-        only the misses — the actual support-query planning — fan out,
-        one (update, column family) pair per work item on the process
-        pool.  Workers never touch the artifact store: the process
-        backend returns pickled copies, so a worker-side ``put`` would
-        populate a store the parent never sees.
+        every one of its pairs was served from the store.  As for
+        queries, every pair is looked up first, then the misses are
+        planned and stored in workload order.
         """
         store = self.artifacts
         pool = planner.pool
@@ -620,14 +575,10 @@ class Advisor:
                        for pair in pairs):
                 stale.add(update)
             slots.append((update, pairs))
-        planned = parallel_map(
-            lambda item: update_planner.plan_one(item[0], item[1],
-                                                 supports=item[2]),
-            missing, jobs=jobs, backend="process")
         fresh = []
-        for (update, index, supports, key), plan in zip(missing,
-                                                        planned):
-            artifact = UpdatePlanArtifact(plan)
+        for update, index, supports, key in missing:
+            artifact = UpdatePlanArtifact(update_planner.plan_one(
+                update, index, supports=supports))
             store.put(key, artifact)
             fresh.append(artifact)
         update_plans = {}
@@ -682,8 +633,7 @@ class Advisor:
         return dict(weights)
 
     def recommend_prepared(self, prepared, weights=None,
-                           space_limit=None, warm_start=None,
-                           jobs=None):
+                           space_limit=None, warm_start=None):
         """Cost, prune and solve a prepared workload.
 
         ``weights`` maps statement labels to weights; a
@@ -702,11 +652,7 @@ class Advisor:
         solver returns, so warm starting is opt-in; leave it unset when
         byte-identical reproducibility across runs matters more than
         solve time.
-
-        ``jobs`` overrides the advisor-wide worker count for this
-        call's costing and pruning stages.
         """
-        jobs = self._effective_jobs(jobs)
         timing = AdvisorTiming()
         started = time.perf_counter()
         weights = self._resolve_weights(prepared, weights)
@@ -728,8 +674,8 @@ class Advisor:
         timing.reused_statements = prepared.reused_statements
         timing.replanned_statements = prepared.replanned_statements
 
-        self._cost_prepared(prepared, timing, jobs=jobs)
-        self._prune_prepared(prepared, timing, jobs=jobs)
+        self._cost_prepared(prepared, timing)
+        self._prune_prepared(prepared, timing)
         recommendation = self._optimize_prepared(prepared, weights,
                                                  space_limit, timing,
                                                  warm_start=warm_start)
@@ -745,34 +691,22 @@ class Advisor:
                         + timing.enumeration + timing.planning)
         return recommendation
 
-    def _cost_prepared(self, prepared, timing, jobs=None):
+    def _cost_prepared(self, prepared, timing):
         """Cost all plans once per cost model (plan costs are
-        weight-independent); statements are costed in parallel when
-        ``jobs`` is set — their step objects are disjoint.  Costing
-        *mutates* the shared plan objects in place (step costs, the
-        per-plan cost cache), so it must stay on the thread backend.
-        Plans whose artifact was already costed by this model (in an
-        earlier prepare sharing the artifact) are skipped — their step
-        costs are already in place."""
+        weight-independent).  Costing *mutates* the shared plan objects
+        in place (step costs, the per-plan cost cache).  Plans whose
+        artifact was already costed by this model (in an earlier
+        prepare sharing the artifact) are skipped — their step costs
+        are already in place."""
         if prepared._costed_by == id(self.cost_model):
             return
-        jobs = self._effective_jobs(jobs)
         active = telemetry.current()
         model_id = id(self.cost_model)
         with active.span("cost_calculation"):
             stage = time.perf_counter()
             hits_before, misses_before, _ = self.cost_model.cache_info()
-
-            def cost_space(space):
-                for plan in space:
-                    self.cost_model.cost_plan(plan)
-
-            def cost_update_space(plans):
-                for update_plan in plans:
-                    self.cost_model.cost_update_plan(update_plan)
-
             # statements of one form share their plans: each distinct
-            # space is costed once (and never on two threads at once)
+            # space is costed once
             query_spaces = {}
             for query, space in prepared.query_plans.items():
                 artifact = prepared.plan_artifacts.get(query)
@@ -788,10 +722,12 @@ class Advisor:
                              if artifact.costed_by != model_id]
                 if plans:
                     update_spaces.setdefault(id(plans[0]), plans)
-            parallel_map(cost_space, list(query_spaces.values()),
-                         jobs=jobs)
-            parallel_map(cost_update_space, list(update_spaces.values()),
-                         jobs=jobs)
+            for space in query_spaces.values():
+                for plan in space:
+                    self.cost_model.cost_plan(plan)
+            for plans in update_spaces.values():
+                for update_plan in plans:
+                    self.cost_model.cost_update_plan(update_plan)
             for artifact in prepared.plan_artifacts.values():
                 artifact.costed_by = model_id
             for pairs in prepared.update_artifacts.values():
@@ -818,33 +754,19 @@ class Advisor:
         this (cost model, cap) configuration."""
         return artifact is not None and artifact.pruned_key == pruned_key
 
-    def _prune_prepared(self, prepared, timing, jobs=None):
+    def _prune_prepared(self, prepared, timing):
         if prepared._pruned_query_plans is not None:
             return
-        jobs = self._effective_jobs(jobs)
         active = telemetry.current()
         with active.span("pruning"):
             stage = time.perf_counter()
             ledger = prepared._prune_ledger
             # pruned results are a pure function of costed plans and
             # the cap, so artifacts costed+pruned under the same model
-            # and cap serve their pruned plans and ledger records as-is.
-            # Statements prune independently (each plan belongs to
-            # exactly one space), so misses go through parallel_map
-            # like the other stages, while the ledger is filled
-            # parent-side in workload order, hits and misses
-            # interleaved exactly as the serial loop would.
+            # and cap serve their pruned plans and ledger records as-is;
+            # the ledger is filled in workload order.
             query_key = (id(self.cost_model), self.prune_to)
             reused_prunes = 0
-
-            def prune_query(item):
-                query, plans = item
-                removals = []
-                kept = prune_plan_space(plans, self.prune_to,
-                                        removals=removals)
-                return kept, prune_record(query, len(plans), len(kept),
-                                          removals)
-
             # hit/miss is decided once up front, before any write-back:
             # the statements of one form share an artifact object, and
             # all of them count as the miss their form was
@@ -856,18 +778,19 @@ class Advisor:
                  self._pruned_hit(artifact, query_key))
                 for query, plans, artifact in query_items]
             # statements of one form share one plan space: prune it once
-            pending = {}
-            for query, plans, artifact, hit in query_items:
-                if not hit:
-                    pending.setdefault(id(plans), (query, plans))
-            pruned = dict(zip(pending, parallel_map(
-                prune_query, list(pending.values()), jobs=jobs)))
+            pruned = {}
             pruned_query_plans = {}
             for query, plans, artifact, hit in query_items:
                 if hit:
                     kept, record = artifact.pruned, artifact.record
                     reused_prunes += 1
                 else:
+                    if id(plans) not in pruned:
+                        removals = []
+                        kept = prune_plan_space(plans, self.prune_to,
+                                                removals=removals)
+                        pruned[id(plans)] = kept, prune_record(
+                            query, len(plans), len(kept), removals)
                     kept, record = pruned[id(plans)]
                     if artifact is not None:
                         artifact.pruned = kept
@@ -878,13 +801,6 @@ class Advisor:
                 ledger[label] = _relabeled(record, label)
             prepared._pruned_query_plans = pruned_query_plans
             support_key = (id(self.cost_model), self.support_prune_to)
-
-            def prune_update(update_plan):
-                records = {}
-                pruned_plan = self._prune_update_plan(update_plan,
-                                                      records)
-                return pruned_plan, records
-
             update_items = []
             for update, plans in prepared.update_plans.items():
                 pairs = prepared.update_artifacts.get(update)
@@ -895,13 +811,7 @@ class Advisor:
                                  self._pruned_hit(artifact,
                                                   support_key)))
                 update_items.append((update, rows))
-            pending = {}
-            for update, rows in update_items:
-                for update_plan, artifact, hit in rows:
-                    if not hit:
-                        pending.setdefault(id(update_plan), update_plan)
-            pruned = dict(zip(pending, parallel_map(
-                prune_update, list(pending.values()), jobs=jobs)))
+            pruned = {}
             pruned_updates = {}
             for update, rows in update_items:
                 pruned_plans = []
@@ -911,6 +821,12 @@ class Advisor:
                         records = artifact.records
                         reused_prunes += 1
                     else:
+                        if id(update_plan) not in pruned:
+                            records = {}
+                            pruned[id(update_plan)] = (
+                                self._prune_update_plan(update_plan,
+                                                        records),
+                                records)
                         pruned_plan, records = pruned[id(update_plan)]
                         if artifact is not None:
                             artifact.pruned = pruned_plan
@@ -920,8 +836,9 @@ class Advisor:
                     ledger.update(_support_records(records, update_plan,
                                                    update))
                 pruned_updates[update] = pruned_plans
-            prepared._pruned_update_plans = self._reachable_update_plans(
-                prepared._pruned_query_plans, pruned_updates)
+            prepared._pruned_update_plans = \
+                dominance.reachable_update_plans(
+                    prepared._pruned_query_plans, pruned_updates)
             prepared._pruning_seconds = time.perf_counter() - stage
         if active.enabled:
             active.count("prune.spaces_reused", reused_prunes)
@@ -932,17 +849,6 @@ class Advisor:
             active.count("prune.update_plans_removed_unreachable",
                          before - after)
         timing.pruning = prepared._pruning_seconds
-
-    @staticmethod
-    def _reachable_update_plans(query_plans, update_plans):
-        """Drop maintenance plans for unreachable candidates.
-
-        Delegates to :func:`repro.dominance.reachable_update_plans`,
-        which closes the reachable-key set over bit vectors; see there
-        for the dominance argument.
-        """
-        return dominance.reachable_update_plans(query_plans,
-                                                update_plans)
 
     def _optimize_prepared(self, prepared, weights, space_limit, timing,
                            warm_start=None):

@@ -146,9 +146,6 @@ def build_parser():
                         default="cassandra")
     parser.add_argument("--max-plans", type=int, default=500,
                         help="cap on enumerated plans per statement")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker threads for per-statement planning "
-                             "and costing (default: serial)")
     parser.add_argument("--repeat-tuning", type=int, default=0,
                         metavar="N",
                         help="after the first recommendation, re-solve N "
@@ -517,9 +514,6 @@ def build_monitor_parser():
     parser.add_argument("--users", type=int, default=2000,
                         help="demo dataset scale in users "
                              "(default 2000)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="parallel workers for the regret "
-                             "re-advise")
     parser.add_argument("--trace", action="store_true",
                         help="print the telemetry run report (monitor "
                              "gauges + alert events) after the run")
@@ -581,7 +575,7 @@ def _monitor_trace(arguments, capture=None):
     advisor = Advisor(model)
     recommendation = advisor.recommend(workload)
     regret = estimate_regret(advisor, workload, recommendation,
-                             monitor, jobs=arguments.jobs)
+                             monitor)
     if capture is not None:
         capture.update(advisor=advisor, workload=workload,
                        recommendation=recommendation, monitor=monitor)
@@ -621,15 +615,14 @@ def run_monitor(argv):
                     checkpoint_every=arguments.checkpoint_every,
                     weight_threshold=arguments.weight_threshold,
                     structural_threshold=arguments.structural_threshold,
-                    seed=arguments.seed, jobs=arguments.jobs,
-                    users=arguments.users, capture=capture)
+                    seed=arguments.seed, users=arguments.users,
+                    capture=capture)
             if replanning:
                 from repro.windows import replan_from_monitor
                 replan = replan_from_monitor(
                     capture["advisor"], capture["workload"],
                     capture["recommendation"], capture["monitor"],
-                    requests=arguments.replan_requests,
-                    jobs=arguments.jobs)
+                    requests=arguments.replan_requests)
     except NoseError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -695,9 +688,6 @@ def build_windows_parser():
                              "held schema")
     parser.add_argument("--max-plans", type=int, default=500,
                         help="cap on enumerated plans per statement")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker threads for per-statement "
-                             "planning and costing (default: serial)")
     parser.add_argument("--mip-gap", type=float, default=1e-4,
                         help="relative MIP gap for the windowed solve "
                              "(default 1e-4)")
@@ -740,12 +730,11 @@ def run_windows(argv):
             meta = {"source": arguments.json_file or arguments.model}
         if arguments.windows:
             schedule = parse_window_spec(arguments.windows)
-        advisor = Advisor(model, max_plans=arguments.max_plans,
-                          jobs=arguments.jobs)
+        advisor = Advisor(model, max_plans=arguments.max_plans)
         recommendation = recommend_windows(
             advisor, workload, schedule,
             migration_model=migration_model,
-            space_limit=arguments.space_limit, jobs=arguments.jobs,
+            space_limit=arguments.space_limit,
             mip_rel_gap=arguments.mip_gap,
             time_limit=arguments.time_limit)
         document = windows_document(recommendation, meta=meta)
@@ -799,8 +788,7 @@ def main(argv=None):
         cost_model = CassandraCostModel() \
             if arguments.cost_model == "cassandra" else SimpleCostModel()
         advisor = Advisor(model, cost_model=cost_model,
-                          max_plans=arguments.max_plans,
-                          jobs=arguments.jobs)
+                          max_plans=arguments.max_plans)
         if arguments.trace or arguments.metrics_out:
             scope = telemetry.activate()
         else:

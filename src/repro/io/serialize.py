@@ -271,9 +271,9 @@ def dump_document(document, path):
     monitor) as stable JSON.
 
     Keys are sorted and a trailing newline appended, so two dumps of
-    the same document — and serial and ``jobs=N`` runs that produce
-    it — are byte-for-byte identical: the property ``nose-advisor
-    diff`` and CI artifact comparison rely on.
+    the same document — and repeated runs that produce it — are
+    byte-for-byte identical: the property ``nose-advisor diff`` and CI
+    artifact comparison rely on.
     """
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)

@@ -4,9 +4,8 @@
 its :class:`~repro.monitor.DriftDetector` and an optional regret
 section into a single JSON-able document.  Everything in it is
 deterministic — logical-clock timestamps, digest-sorted lists, rounded
-floats, no wall-clock — so serial and ``jobs=N`` monitored runs
-serialize byte-identically through
-:func:`repro.io.dump_document`.
+floats, no wall-clock — so repeated monitored runs serialize
+byte-identically through :func:`repro.io.dump_document`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ def monitor_document(monitor, detector=None, regret=None, meta=None):
     ``regret`` is the mapping :func:`repro.monitor.estimate_regret`
     returns; its non-serializable ``"recommendation"`` entry is
     replaced by a schema summary.  ``meta`` carries run facts (source,
-    mixes, jobs) — callers must keep wall-clock values out of it.
+    mixes, seed) — callers must keep wall-clock values out of it.
     """
     document = {
         "format": MONITOR_FORMAT,

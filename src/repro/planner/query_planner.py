@@ -26,7 +26,6 @@ import numpy as np
 
 from repro import telemetry
 from repro.exceptions import PlanningError
-from repro.parallel import parallel_map
 from repro.planner.plans import PlanSpace, QueryPlan, UnionPlan
 from repro.planner.steps import (
     AggregateStep,
@@ -193,17 +192,11 @@ class QueryPlanner:
             tail.append(LimitStep(query.limit, out))
         return UnionPlan(query, branch_plans, tail)
 
-    def plan_all(self, queries, require=True, jobs=None):
-        """Plan spaces for many queries: ``{query: PlanSpace}``.
-
-        Per-query enumeration is independent; ``jobs`` fans it out over
-        a thread pool (input order, hence result determinism, is kept).
-        """
-        queries = list(queries)
-        spaces = parallel_map(
-            lambda query: self.plans_for(query, require=require),
-            queries, jobs=jobs)
-        return dict(zip(queries, spaces))
+    def plan_all(self, queries, require=True):
+        """Plan spaces for many queries, in input order:
+        ``{query: PlanSpace}``."""
+        return {query: self.plans_for(query, require=require)
+                for query in queries}
 
     def best_plan(self, query, cost_model):
         """Cost all plans and return the cheapest one."""

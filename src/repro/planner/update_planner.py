@@ -16,7 +16,6 @@ from repro.enumerator.support import (
     support_queries,
 )
 from repro.exceptions import PlanningError
-from repro.parallel import parallel_map
 from repro.planner.plans import UpdatePlan
 from repro.planner.steps import DeleteStep, InsertStep
 
@@ -62,18 +61,12 @@ class UpdatePlanner:
         """
         return list(support_queries(update, index))
 
-    def plan_all(self, updates, indexes=None, require=True, jobs=None):
-        """Maintenance plan spaces for many updates: ``{update: [plans]}``.
-
-        Per-update planning is independent; ``jobs`` fans it out over a
-        thread pool while keeping results in input order.
-        """
-        updates = list(updates)
-        spaces = parallel_map(
-            lambda update: self.plans_for(update, indexes=indexes,
-                                          require=require),
-            updates, jobs=jobs)
-        return dict(zip(updates, spaces))
+    def plan_all(self, updates, indexes=None, require=True):
+        """Maintenance plan spaces for many updates, in input order:
+        ``{update: [plans]}``."""
+        return {update: self.plans_for(update, indexes=indexes,
+                                       require=require)
+                for update in updates}
 
     def plan_one(self, update, index, require=True, supports=None):
         """The maintenance plan for one (update, column family) pair.

@@ -224,7 +224,7 @@ def _baseline_entry(windows, serving, migration):
 
 def recommend_windows(advisor, workload, schedule, initial=None,
                       migration_model=None, space_limit=None,
-                      jobs=None, mip_rel_gap=1e-4, time_limit=120.0):
+                      mip_rel_gap=1e-4, time_limit=120.0):
     """Recommend a schema *schedule* for an ordered set of windows.
 
     ``schedule`` is a :class:`~repro.windows.WindowSchedule` (or
@@ -249,10 +249,10 @@ def recommend_windows(advisor, workload, schedule, initial=None,
 
     started = time.perf_counter()
     union = _union_view(workload, schedule)
-    prepared = advisor.prepare(union, jobs=jobs)
+    prepared = advisor.prepare(union)
     stage_timing = AdvisorTiming()
-    advisor._cost_prepared(prepared, stage_timing, jobs=jobs)
-    advisor._prune_prepared(prepared, stage_timing, jobs=jobs)
+    advisor._cost_prepared(prepared, stage_timing)
+    advisor._prune_prepared(prepared, stage_timing)
     query_plans = prepared._pruned_query_plans
     update_plans = prepared._pruned_update_plans
     window_weights = _window_weight_rows(workload, schedule)
@@ -278,8 +278,7 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     # -- static baseline: one schema, chosen for the aggregate mix
     started = time.perf_counter()
     static_rec = advisor.recommend_prepared(prepared, weights=aggregate,
-                                            space_limit=space_limit,
-                                            jobs=jobs)
+                                            space_limit=space_limit)
     static_keys = {index.key for index in static_rec.indexes}
     static_windows, static_serving, static_migration = \
         _evaluate_schedule(window_problems, schedule,
@@ -337,7 +336,7 @@ def recommend_windows(advisor, workload, schedule, initial=None,
 
 def replan_from_monitor(advisor, workload, recommendation, observed,
                         requests=1000.0, migration_model=None,
-                        space_limit=None, jobs=None):
+                        space_limit=None):
     """Hand a drift monitor's observed mix to the windowed advisor.
 
     Where :func:`repro.monitor.estimate_regret` only *prices* standing
@@ -365,4 +364,4 @@ def replan_from_monitor(advisor, workload, recommendation, observed,
     return recommend_windows(advisor, live, schedule,
                              initial=recommendation,
                              migration_model=migration_model,
-                             space_limit=space_limit, jobs=jobs)
+                             space_limit=space_limit)

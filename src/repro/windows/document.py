@@ -6,9 +6,8 @@ JSON-able document: the schedule, per-window schemas with serving
 costs and statement costs, the migration steps between windows (create
 / drop / rows and bytes to load), the cost ledger, and both baselines
 scored by the same evaluator.  Everything is deterministic — sorted
-key lists, rounded floats, no wall-clock — so serial and ``jobs=N``
-runs serialize byte-identically through
-:func:`repro.io.dump_document`.
+key lists, rounded floats, no wall-clock — so repeated runs serialize
+byte-identically through :func:`repro.io.dump_document`.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def _baseline_entry(baseline):
 def windows_document(recommendation, meta=None):
     """Assemble the byte-stable windows document.
 
-    ``meta`` carries run facts (source, jobs, seed) — callers must keep
+    ``meta`` carries run facts (source, users, seed) — callers must keep
     wall-clock values out of it; the recommendation's ``timing`` is
     deliberately not serialized.
     """

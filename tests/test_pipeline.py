@@ -1,9 +1,9 @@
 """Tests for the staged advisor pipeline (prepare / recommend_prepared).
 
 The staged pipeline must be an equivalence-preserving refactor of the
-one-shot ``recommend``: cold and warm solves, serial and parallel
-planning, and re-costed weight changes must all produce the same
-recommendation a fresh advisor would.
+one-shot ``recommend``: cold and warm solves and re-costed weight
+changes must all produce the same recommendation a fresh advisor
+would.
 """
 
 import pytest
@@ -50,31 +50,6 @@ def test_recommend_equals_prepared_cold(hotel_setup):
     assert staged.timing.planning > 0
 
 
-def test_process_planned_prepare_matches_serial(hotel_setup,
-                                                monkeypatch):
-    """jobs=N planning on the forked process pool is byte-identical to
-    the serial path: worker results are pickled copies, and everything
-    downstream matches plans and column families by key, not identity.
-    """
-    import json
-
-    from repro import parallel
-    from repro.explain import explain_document
-
-    model, workload = hotel_setup
-    serial = json.dumps(
-        explain_document(Advisor(model).recommend(workload)),
-        sort_keys=True)
-    # defeat the pays-for-itself heuristics so the pool really runs,
-    # even on a single-CPU host
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_SECONDS", 0.0)
-    forked = json.dumps(
-        explain_document(Advisor(model, jobs=2).recommend(workload)),
-        sort_keys=True)
-    assert forked == serial
-
-
 def test_recommend_equals_prepared_warm(hotel_setup):
     model, workload = hotel_setup
     advisor = Advisor(model)
@@ -116,23 +91,6 @@ def test_weight_change_matches_fresh_solve(hotel_setup):
     assert warm.timing.planning == 0.0
     fresh = Advisor(model).recommend(scaled)
     assert _fingerprint(warm) == _fingerprint(fresh)
-
-
-# -- parallel planning/costing ---------------------------------------------
-
-
-@pytest.mark.parametrize("demo", ["hotel", "rubis"])
-def test_jobs_do_not_change_the_recommendation(demo):
-    if demo == "hotel":
-        model = hotel_model()
-        workload = hotel_workload(model)
-    else:
-        from repro.rubis import rubis_model, rubis_workload
-        model = rubis_model()
-        workload = rubis_workload(model, mix="bidding")
-    serial = Advisor(model, jobs=1).recommend(workload)
-    parallel = Advisor(model, jobs=4).recommend(workload)
-    assert _fingerprint(parallel) == _fingerprint(serial)
 
 
 # -- property: re-costing equals a fresh solve -----------------------------

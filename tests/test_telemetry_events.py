@@ -7,7 +7,6 @@ from repro.telemetry import (
     RUN_REPORT_FORMAT,
     RunReport,
     Telemetry,
-    span_from_record,
 )
 
 
@@ -30,20 +29,9 @@ def test_root_span_has_started_at():
     assert sink.tracer.root.started_at is not None
 
 
-def test_span_from_record_round_trips_started_at():
-    sink = Telemetry()
-    with sink.span("stage"):
-        pass
-    record = sink.tracer.root.children[0].as_dict()
-    rebuilt = span_from_record(record)
-    assert rebuilt.started_at == record["started_at"]
-    assert rebuilt.as_dict()["started_at"] == record["started_at"]
-
-
 def test_unstarted_span_omits_started_at():
     record = telemetry.Span("never-opened").as_dict()
     assert "started_at" not in record
-    assert span_from_record(record).started_at is None
 
 
 # -- the event log ------------------------------------------------------------
@@ -75,20 +63,6 @@ def test_event_log_caps_and_counts_drops():
     assert sink._events_dropped == 3
     report = sink.report()
     assert report.meta["events_dropped"] == 3
-
-
-def test_merge_snapshot_folds_worker_events_with_cap():
-    sink = Telemetry()
-    sink.MAX_EVENTS = 3
-    sink.event("local")
-    sink.merge_snapshot({"events": [
-        {"name": "worker.a", "seconds": 0.1},
-        {"name": "worker.b", "seconds": 0.2},
-        {"name": "worker.c", "seconds": 0.3},
-    ]})
-    assert [event["name"] for event in sink.events] \
-        == ["local", "worker.a", "worker.b"]
-    assert sink._events_dropped == 1
 
 
 def test_null_telemetry_event_is_a_no_op():
