@@ -405,14 +405,17 @@ def test_report_render_is_ascii_and_complete():
         assert len(line) < 200
 
 
-def test_parallel_planning_spans_nest_under_stage():
+@pytest.mark.parametrize("runs", [1, 4])
+def test_parallel_planning_spans_nest_under_stage(runs):
     model = hotel_model()
     with activate() as sink:
-        advisor = Advisor(model, cost_model=SimpleCostModel())
-        advisor.recommend(hotel_workload(model))
+        for _ in range(runs):
+            advisor = Advisor(model, cost_model=SimpleCostModel())
+            advisor.recommend(hotel_workload(model))
     report = sink.report()
-    # the recommend span is the only top-level span and every stage
-    # nests inside it
-    recommend, = report.spans
-    assert recommend["name"] == "recommend"
-    assert set(STAGES) <= set(report.stage_totals())
+    # each advisor run opens exactly one top-level recommend span and
+    # every stage nests inside it: no stage span leaks to the root
+    assert [span["name"] for span in report.spans] == ["recommend"] * runs
+    for recommend in report.spans:
+        nested = RunReport([recommend], {}).stage_totals()
+        assert set(STAGES) <= set(nested)
