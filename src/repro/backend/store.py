@@ -10,18 +10,15 @@ charged simulated service time through a
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
+from operator import itemgetter
 
 from repro.backend.latency import LatencyModel
 from repro.exceptions import ExecutionError
-from repro.workload.semantics import NULL_KEY, ordering_key
+from repro.workload.semantics import END, NULL, row_ordering_key
 
-
-def _clustering_key(clustering):
-    """Comparable sort key for a clustering tuple (NULLS LAST; see
-    repro.workload.semantics — the rule shared with client-side sorts
-    and the reference interpreter)."""
-    return tuple(ordering_key(value) for value in clustering)
+#: a record's sort key: records are ``(key, row)`` pairs
+_KEY = itemgetter(0)
 
 
 class StoreMetrics:
@@ -59,8 +56,12 @@ class ColumnFamily:
     """One table: partition key -> clustering-key-sorted records.
 
     Rows are supplied as ``{field_id: value}`` dictionaries; the column
-    family extracts its partition tuple, clustering tuple, and value
-    columns from them.
+    family extracts its partition and clustering tuples from them and
+    stores a new dict of its key and value columns (a missing value
+    column is ``None``).  Each partition is a list of ``(key, row)``
+    records sorted by ``key``, the clustering tuple in
+    :func:`~repro.workload.semantics.row_ordering_key` form (NULLS
+    LAST), so bisection runs on plain tuple comparison.
     """
 
     def __init__(self, index, latency, metrics, store=None):
@@ -74,35 +75,52 @@ class ColumnFamily:
         self._store = store
         self._hash_ids = tuple(f.id for f in index.hash_fields)
         self._order_ids = tuple(f.id for f in index.order_fields)
-        self._extra_ids = tuple(f.id for f in index.extra_fields)
-        self._key_ids = self._hash_ids + self._order_ids
+        self._column_ids = self._hash_ids + self._order_ids + tuple(
+            f.id for f in index.extra_fields)
         self._row_bytes = max(index.entry_size, 1)
-        #: partition tuple -> sorted list of (clustering tuple, values)
+        #: partition tuple -> sorted list of (clustering key, row)
         self._partitions = {}
 
     # -- row shredding -------------------------------------------------------
 
     def _keys_of(self, row):
         try:
-            partition = tuple(row[field] for field in self._hash_ids)
-            clustering = tuple(row[field] for field in self._order_ids)
+            partition = tuple(map(row.__getitem__, self._hash_ids))
+            clustering = tuple(map(row.__getitem__, self._order_ids))
         except KeyError as missing:
             raise ExecutionError(
                 f"row is missing key column {missing} for {self.name}"
             ) from None
         return partition, clustering
 
-    def _values_of(self, row):
-        return {field: row.get(field) for field in self._extra_ids}
-
     def row_key(self, row):
         """The (partition, clustering) key tuple identifying a row."""
         return self._keys_of(row)
 
-    def _as_row(self, partition, clustering, values):
-        row = dict(zip(self._key_ids, partition + clustering))
-        row.update(values)
-        return row
+    def _write(self, partition, clustering, row):
+        # a new dict per upsert: rows handed out by get stay snapshots
+        columns = self._column_ids
+        record = (row_ordering_key(clustering),
+                  dict(zip(columns, map(row.get, columns))))
+        bucket = self._partitions.setdefault(partition, [])
+        position = bisect_left(bucket, record[0], key=_KEY)
+        if position < len(bucket) and bucket[position][0] == record[0]:
+            bucket[position] = record
+        else:
+            bucket.insert(position, record)
+
+    def _remove(self, partition, clustering):
+        bucket = self._partitions.get(partition)
+        if not bucket:
+            return False
+        key = row_ordering_key(clustering)
+        position = bisect_left(bucket, key, key=_KEY)
+        if position == len(bucket) or bucket[position][0] != key:
+            return False
+        del bucket[position]
+        if not bucket:
+            del self._partitions[partition]
+        return True
 
     # -- operations --------------------------------------------------------------
 
@@ -110,20 +128,9 @@ class ColumnFamily:
         return self._store.recorder if self._store is not None else None
 
     def put(self, row, charge=True):
-        """Upsert one record (Cassandra put semantics).  Returns the
-        record's partition tuple (for batch partition accounting)."""
+        """Upsert one record (Cassandra put semantics)."""
         partition, clustering = self._keys_of(row)
-        bucket = self._partitions.setdefault(partition, [])
-        position = bisect_left(bucket, _clustering_key(clustering),
-                               key=lambda record: _clustering_key(
-                                   record[0]))
-        values = self._values_of(row)
-        if position < len(bucket) and bucket[position][0] == clustering:
-            bucket[position] = (clustering,
-                                {**bucket[position][1], **values})
-        else:
-            insort(bucket, (clustering, values),
-                   key=lambda record: _clustering_key(record[0]))
+        self._write(partition, clustering, row)
         if charge:
             self._metrics.puts += 1
             self._metrics.rows_written += 1
@@ -135,21 +142,19 @@ class ColumnFamily:
                 recorder.observe_op(self.name, "put", rows=1,
                                     row_bytes=self._row_bytes,
                                     time_ms=elapsed)
-        return partition
 
     def put_many(self, rows, charge=True):
-        """Batch upsert, charged as a single request."""
-        count = 0
-        partitions = set()
-        for row in rows:
-            partition = self.put(row, charge=False)
-            count += 1
-            if charge:
-                partitions.add(partition)
+        """Batch upsert, charged as a single request.  All or nothing: a
+        row missing a key column raises before any row is written."""
+        batch = [(self._keys_of(row), row) for row in rows]
+        for (partition, clustering), row in batch:
+            self._write(partition, clustering, row)
+        count = len(batch)
         if charge and count:
             self._metrics.puts += 1
             self._metrics.rows_written += count
-            self._metrics.partitions_touched += len(partitions)
+            self._metrics.partitions_touched += len(
+                {keys[0] for keys, _ in batch})
             elapsed = self._latency.put_time(count)
             self._metrics.simulated_ms += elapsed
             recorder = self._recorder()
@@ -167,34 +172,31 @@ class ColumnFamily:
 
         ``range_filter`` is ``(operator, value)`` with operator one of
         ``> >= < <=`` applied to clustering component ``len(prefix)``.
-        Returns full rows (key and value columns merged).
+        Returns full rows (key and value columns), in clustering order.
+
+        The rows are the store's own row dicts, not copies: callers must
+        not mutate them.  An upsert replaces a record's row with a new
+        dict and a delete drops it, so a returned row stays a valid
+        snapshot of the record as it was read.
         """
-        partition = tuple(partition)
-        prefix = tuple(prefix)
-        bucket = self._partitions.get(partition, [])
-        width = len(prefix)
-        prefix_key = _clustering_key(prefix)
-        low = bisect_left(bucket, prefix_key,
-                          key=lambda record: _clustering_key(
-                              record[0][:width]))
-        high = bisect_right(bucket, prefix_key,
-                            key=lambda record: _clustering_key(
-                                record[0][:width]))
+        bucket = self._partitions.get(tuple(partition), ())
+        prefix = row_ordering_key(prefix)
+        if prefix:
+            low = bisect_left(bucket, prefix, key=_KEY)
+            high = bisect_left(bucket, prefix + (END,), low, key=_KEY)
+        else:
+            low, high = 0, len(bucket)
         scanned = high - low
-        selected = bucket[low:high]
         if range_filter is not None:
-            operator, bound = range_filter
-            component = width
-            if component >= len(self._order_ids):
+            if len(prefix) >= len(self._order_ids):
                 raise ExecutionError(
-                    f"no clustering component {component} to range-scan "
-                    f"in {self.name}")
-            selected = _range_restrict(selected, component, operator,
-                                       bound)
+                    f"no clustering component {len(prefix)} to "
+                    f"range-scan in {self.name}")
+            low, high = _range_restrict(bucket, low, high, prefix,
+                                        *range_filter)
         if limit is not None:
-            selected = selected[:limit]
-        rows = [self._as_row(partition, clustering, values)
-                for clustering, values in selected]
+            high = min(high, low + limit)
+        rows = [row for _, row in bucket[low:high]]
         if charge:
             self._metrics.gets += 1
             self._metrics.rows_read += len(rows)
@@ -216,18 +218,7 @@ class ColumnFamily:
     def delete_row(self, row, charge=True):
         """Remove one record identified by its key columns; no-op if
         absent. Returns True when a record was removed."""
-        partition, clustering = self._keys_of(row)
-        bucket = self._partitions.get(partition)
-        removed = False
-        if bucket:
-            position = bisect_left(bucket, _clustering_key(clustering),
-                                   key=lambda record: _clustering_key(
-                                       record[0]))
-            if position < len(bucket) and bucket[position][0] == clustering:
-                del bucket[position]
-                removed = True
-                if not bucket:
-                    del self._partitions[partition]
+        removed = self._remove(*self._keys_of(row))
         if charge:
             self._metrics.deletes += 1
             self._metrics.rows_deleted += 1 if removed else 0
@@ -242,23 +233,21 @@ class ColumnFamily:
         return removed
 
     def delete_many(self, rows, charge=True):
-        """Batch delete, charged as a single request."""
-        removed = 0
-        rows = list(rows)
-        partitions = set()
-        for row in rows:
-            removed += self.delete_row(row, charge=False)
-            if charge:
-                partitions.add(self._keys_of(row)[0])
-        if charge and rows:
+        """Batch delete, charged as a single request.  All or nothing: a
+        row missing a key column raises before any record is removed."""
+        batch = [self._keys_of(row) for row in rows]
+        removed = sum(self._remove(partition, clustering)
+                      for partition, clustering in batch)
+        if charge and batch:
             self._metrics.deletes += 1
             self._metrics.rows_deleted += removed
-            self._metrics.partitions_touched += len(partitions)
-            elapsed = self._latency.delete_time(len(rows))
+            self._metrics.partitions_touched += len(
+                {partition for partition, _ in batch})
+            elapsed = self._latency.delete_time(len(batch))
             self._metrics.simulated_ms += elapsed
             recorder = self._recorder()
             if recorder is not None:
-                recorder.observe_op(self.name, "delete", rows=len(rows),
+                recorder.observe_op(self.name, "delete", rows=len(batch),
                                     row_bytes=self._row_bytes,
                                     time_ms=elapsed)
         return removed
@@ -267,9 +256,9 @@ class ColumnFamily:
 
     def rows(self):
         """Iterate all rows (unmetered; for tests and maintenance)."""
-        for partition, bucket in self._partitions.items():
-            for clustering, values in bucket:
-                yield self._as_row(partition, clustering, values)
+        for bucket in self._partitions.values():
+            for _, row in bucket:
+                yield row
 
     @property
     def partition_count(self):
@@ -283,27 +272,31 @@ class ColumnFamily:
                 f"{self.partition_count}, rows={len(self)})")
 
 
-def _range_restrict(records, component, operator, bound):
-    """Restrict a clustering-sorted block on one sorted component.
+def _range_restrict(bucket, low, high, prefix, operator, bound):
+    """Narrow ``bucket[low:high]``, the records extending ``prefix``, on
+    clustering component ``len(prefix)``; returns the new bounds.
 
     Follows the canonical NULL rule: a NULL bound matches nothing, and
     NULL component values (sorted last) never satisfy a range.
     """
     if bound is None:
-        return []
-    keys = [ordering_key(record[0][component]) for record in records]
-    bound_key = ordering_key(bound)
-    # NULL components sort after every bound, so they must be cut from
-    # the tail of any lower-bounded scan
-    nulls_start = bisect_left(keys, NULL_KEY)
+        return low, low
+    # cut the NULL components from the tail of every scan
+    high = bisect_left(bucket, prefix + (NULL,), low, high, key=_KEY)
+    # (bound,) sorts before and (bound, END) after every key whose
+    # component equals bound
     if operator == ">":
-        return records[bisect_right(keys, bound_key):nulls_start]
+        return bisect_left(bucket, prefix + (bound, END), low, high,
+                           key=_KEY), high
     if operator == ">=":
-        return records[bisect_left(keys, bound_key):nulls_start]
+        return bisect_left(bucket, prefix + (bound,), low, high,
+                           key=_KEY), high
     if operator == "<":
-        return records[:bisect_left(keys, bound_key)]
+        return low, bisect_left(bucket, prefix + (bound,), low, high,
+                                key=_KEY)
     if operator == "<=":
-        return records[:bisect_right(keys, bound_key)]
+        return low, bisect_left(bucket, prefix + (bound, END), low, high,
+                                key=_KEY)
     raise ExecutionError(f"unsupported range operator {operator!r}")
 
 

@@ -22,6 +22,15 @@ The rules, restricted to NoSE's operator set (``= != > >= < <= IN``):
 * Ordering: NULL sorts after every non-NULL value (NULLS LAST), and
   sorts are stable.
 
+Sort keys carry NULL as the :data:`NULL` sentinel, which compares
+greater than every value and equal only to itself; every other value is
+its own key.  A value tuple without NULLs is therefore its own row key,
+and keys compare with plain (C-level) tuple comparison — the record
+store keeps clustering keys in exactly this form.  :data:`END` sorts
+after :data:`NULL`, so ``prefix + (END,)`` bounds every key extending
+``prefix``.  Values of mutually unordered types still raise
+``TypeError`` when compared.
+
 Aggregation folds (:func:`aggregate_value`) live here for the same
 reason: the executor's AggregateStep and the reference interpreter must
 produce bit-identical results, so both fold values in the same
@@ -30,21 +39,57 @@ canonical order.
 
 from __future__ import annotations
 
-#: ordering key that sorts after every ``(False, value)`` key — the
-#: NULLS LAST rule (compares against non-NULL keys on the first element)
-NULL_KEY = (True,)
+
+class _Sentinel:
+    """A sort-key component above every value; ``NULL < END``.
+
+    Ordinary values defer to it through Python's reflected comparison
+    (``5 < NULL`` asks ``NULL > 5``); equality is identity."""
+
+    __slots__ = ("_name", "_rank")
+
+    def __init__(self, name, rank):
+        self._name = name
+        self._rank = rank
+
+    def __lt__(self, other):
+        return isinstance(other, _Sentinel) and self._rank < other._rank
+
+    def __gt__(self, other):
+        return not isinstance(other, _Sentinel) or self._rank > other._rank
+
+    def __le__(self, other):
+        return self is other or self < other
+
+    def __ge__(self, other):
+        return self is other or self > other
+
+    def __repr__(self):
+        return self._name
+
+    def __reduce__(self):
+        # copies and unpickles resolve to the module singleton
+        return self._name
+
+
+#: the sort key of a NULL value: after every non-NULL value
+NULL = _Sentinel("NULL", 0)
+#: after NULL too: ``prefix + (END,)`` bounds the keys extending ``prefix``
+END = _Sentinel("END", 1)
 
 
 def ordering_key(value):
     """Sort key implementing the canonical NULLS LAST order."""
-    if value is None:
-        return NULL_KEY
-    return (False, value)
+    return NULL if value is None else value
 
 
 def row_ordering_key(values):
-    """Sort key for a sequence of values (e.g. an ORDER BY tuple)."""
-    return tuple(ordering_key(value) for value in values)
+    """Sort key for a sequence of values (e.g. an ORDER BY tuple); a
+    tuple without NULLs is returned as it is."""
+    values = tuple(values)
+    if None in values:
+        return tuple(map(ordering_key, values))
+    return values
 
 
 def matches(operator, value, bound):

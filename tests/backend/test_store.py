@@ -209,3 +209,23 @@ def test_store_totals(store, rooms_cf):
     assert store.total_rows == 5
     store.drop(rooms_cf.index)
     assert store.total_rows == 0
+
+
+def test_put_many_with_a_malformed_row_writes_nothing(rooms_cf, store):
+    before = list(rooms_cf.rows())
+    store.reset_metrics()
+    good = {"Hotel.HotelCity": "boston", "Room.RoomRate": 120.0,
+            "Room.RoomID": 5}
+    with pytest.raises(ExecutionError):
+        rooms_cf.put_many([good, {"Hotel.HotelCity": "boston"}])
+    assert list(rooms_cf.rows()) == before
+    assert store.metrics.puts == 0
+
+
+def test_delete_many_with_a_malformed_row_removes_nothing(rooms_cf, store):
+    before = list(rooms_cf.rows())
+    store.reset_metrics()
+    with pytest.raises(ExecutionError):
+        rooms_cf.delete_many([before[0], {"Room.RoomID": 1}])
+    assert list(rooms_cf.rows()) == before
+    assert store.metrics.deletes == 0

@@ -5,11 +5,16 @@ layer that compares attribute values; these tests pin the rules the
 differential oracle depends on.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from repro.model import StringField
 from repro.workload.conditions import Condition
 from repro.workload.semantics import (
+    END,
+    NULL,
     matches,
     ordering_key,
     row_ordering_key,
@@ -69,6 +74,34 @@ def test_row_ordering_key_handles_mixed_nulls():
     rows = [(1, None), (None, 1), (1, 1)]
     ordered = sorted(rows, key=row_ordering_key)
     assert ordered == [(1, 1), (1, None), (None, 1)]
+
+
+def test_a_null_free_tuple_is_its_own_key():
+    values = (3, "a", 1.5)
+    assert row_ordering_key(values) is values
+    assert row_ordering_key([1, None]) == (1, NULL)
+
+
+def test_sentinels_sort_after_every_value():
+    for value in (0, -1e300, "zzz", (9,)):
+        assert value < NULL < END and END > NULL > value
+        assert NULL != value and value != NULL
+        assert not NULL < value and not END <= value
+    assert NULL == NULL and NULL <= NULL and NULL >= NULL
+    assert not NULL < NULL and not NULL > NULL
+    assert (1, NULL) > (1, 2) and (1, NULL) < (1, END) < (2,)
+
+
+def test_sentinels_survive_copies():
+    assert copy.deepcopy((NULL, END)) == (NULL, END)
+    assert pickle.loads(pickle.dumps(NULL)) is NULL
+
+
+def test_unordered_types_still_raise():
+    with pytest.raises(TypeError):
+        sorted([1, "a"], key=ordering_key)
+    with pytest.raises(TypeError):
+        sorted([(1, None), ("a", None)], key=row_ordering_key)
 
 
 def test_condition_matches_uses_the_canonical_rule():
