@@ -171,10 +171,6 @@ class Tracer:
             stack = self._local.stack = [self.root]
         return stack
 
-    def current_span(self):
-        """The innermost open span on the calling thread."""
-        return self._stack()[-1]
-
     @contextmanager
     def span(self, name, **attributes):
         """Open a child span of the calling thread's current span."""
@@ -260,31 +256,6 @@ class Histogram:
             cumulative += bucket_count
         return self.maximum
 
-    def merge_dict(self, record):
-        """Fold a serialized histogram (``as_dict`` shape) into this one.
-
-        Combines histograms recorded by separate registries (for
-        example, in separate processes).  Boundaries must match.
-        """
-        if tuple(record["boundaries"]) != self.boundaries:
-            raise ValueError(
-                f"histogram boundaries differ: {self.boundaries} vs "
-                f"{tuple(record['boundaries'])}")
-        self.counts = [mine + theirs for mine, theirs
-                       in zip(self.counts, record["counts"])]
-        self.count += record["count"]
-        self.total += record["sum"]
-        for name, pick in (("min", min), ("max", max)):
-            value = record.get(name)
-            if value is None:
-                continue
-            mine = self.minimum if name == "min" else self.maximum
-            merged = value if mine is None else pick(mine, value)
-            if name == "min":
-                self.minimum = merged
-            else:
-                self.maximum = merged
-
     def as_dict(self):
         def rounded(value):
             return None if value is None else round(value, 6)
@@ -339,27 +310,6 @@ class MetricsRegistry:
             histogram.observe(value)
             self.ops += 1
 
-    def merge(self, snapshot):
-        """Fold a serialized registry snapshot (``as_dict`` shape) in.
-
-        Counters and histogram buckets accumulate; gauges keep
-        last-write-wins semantics (the merged snapshot counts as the
-        later write).  Combines metrics recorded by separate
-        registries (for example, in separate processes).
-        """
-        with self._lock:
-            for name, amount in snapshot.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0) + amount
-            for name, value in snapshot.get("gauges", {}).items():
-                self.gauges[name] = value
-            for name, record in snapshot.get("histograms", {}).items():
-                histogram = self.histograms.get(name)
-                if histogram is None:
-                    histogram = self.histograms[name] = Histogram(
-                        record["boundaries"])
-                histogram.merge_dict(record)
-            self.ops += 1
-
     def as_dict(self):
         """Serializable snapshot, every section sorted by name."""
         with self._lock:
@@ -401,9 +351,6 @@ class Telemetry:
     # tracing
     def span(self, name, **attributes):
         return self.tracer.span(name, **attributes)
-
-    def current_span(self):
-        return self.tracer.current_span()
 
     # metrics
     def count(self, name, amount=1):
@@ -480,9 +427,6 @@ class NullTelemetry:
 
     def span(self, name, **attributes):
         return _NULL_CONTEXT
-
-    def current_span(self):
-        return None
 
     def count(self, name, amount=1):
         pass
