@@ -31,11 +31,7 @@ from repro.exceptions import OptimizationError, TruncationWarning
 from repro.explain import ExplainData, prune_entry, prune_record
 from repro.optimizer import BIPOptimizer, OptimizationProblem
 from repro.optimizer.results import SchemaRecommendation
-from repro.pipeline import (
-    ArtifactStore,
-    PlanArtifact,
-    UpdatePlanArtifact,
-)
+from repro.pipeline import ArtifactStore
 from repro.planner import QueryPlanner, UpdatePlanner
 from repro.planner.plans import UpdatePlan
 from repro.workload.digest import statement_signature
@@ -215,8 +211,7 @@ class PreparedWorkload:
 
     def __init__(self, key, workload, candidates, query_plans,
                  update_plans, enumeration_seconds=0.0,
-                 planning_seconds=0.0, plan_artifacts=None,
-                 update_artifacts=None):
+                 planning_seconds=0.0):
         self.key = key
         #: the workload last prepared/looked-up with this structure;
         #: supplies default weights to recommend_prepared
@@ -228,11 +223,6 @@ class PreparedWorkload:
         self.update_plans = dict(update_plans)
         self.enumeration_seconds = enumeration_seconds
         self.planning_seconds = planning_seconds
-        #: {query: PlanArtifact} — store entries backing query_plans;
-        #: costed/pruned derivatives ride here for cross-prepare reuse
-        self.plan_artifacts = dict(plan_artifacts or {})
-        #: {update: [UpdatePlanArtifact]} — parallel to update_plans
-        self.update_artifacts = dict(update_artifacts or {})
         #: delta accounting for the prepare that produced (or served)
         #: this object; mirrored into AdvisorTiming per recommend
         self.reused_statements = 0
@@ -306,36 +296,6 @@ def _nothing_to_optimize(workload):
             f"optimize")
 
 
-def _statement_key(statement):
-    """A structural identity for one statement.
-
-    Covers everything enumeration and planning look at — statement
-    type, label, path, predicates, selected/ordered fields, settings —
-    and deliberately excludes weights and parameter names, so workloads
-    differing only in weights share a prepared workload.
-    """
-    parts = [
-        type(statement).__name__,
-        statement.label or "",
-        statement.key_path.signature,
-        tuple((condition.field.id, condition.operator)
-              for condition in statement.conditions),
-    ]
-    select = getattr(statement, "select", None)
-    if select is not None:
-        parts.append(tuple(field.id for field in select))
-        parts.append(tuple(field.id
-                           for field in getattr(statement, "order_by", ())))
-        parts.append(getattr(statement, "limit", None))
-    settings = getattr(statement, "settings", None)
-    if settings is not None:
-        parts.append(tuple(sorted(field.id for field in settings)))
-    connections = getattr(statement, "connections", None)
-    if connections is not None:
-        parts.append(tuple(sorted(key.id for key, _ in connections)))
-    return tuple(parts)
-
-
 class Advisor:
     """End-to-end schema advisor.
 
@@ -399,8 +359,10 @@ class Advisor:
     # -- stage 1: enumeration + planning -------------------------------------
 
     def _workload_key(self, workload):
-        statements = tuple(_statement_key(statement) for statement, _
-                           in workload.weighted_statements)
+        # the label carries the weights; the signature is everything
+        # enumeration and planning look at
+        statements = tuple((statement.label, statement_signature(statement))
+                           for statement, _ in workload.weighted_statements)
         return (statements, self.max_plans)
 
     def prepare(self, workload):
@@ -416,11 +378,12 @@ class Advisor:
         are keyed by structural statement signature plus stage
         configuration, so after an edit only the changed statements are
         re-enumerated and re-planned while unchanged ones are served
-        from the store (only the cross-statement Combine step and the
-        BIP look across statements and always re-run).  Cold and
-        incremental prepares share this one code path — a fresh advisor
-        simply starts with an empty store — so incremental results are
-        identical to cold ones by construction.
+        from the store (the cross-statement Combine step always
+        re-runs, and a new prepared workload is costed, pruned and
+        solved whole).  Cold and incremental prepares share this one
+        code path — a fresh advisor simply starts with an empty store —
+        so incremental results are identical to cold ones by
+        construction.
         """
         active = telemetry.current()
         key = self._workload_key(workload)
@@ -451,21 +414,16 @@ class Advisor:
             planner = QueryPlanner(self.model, candidates,
                                    max_plans=self.max_plans)
             update_planner = UpdatePlanner(self.model, planner)
-            plan_artifacts = {}
             query_plans, reused_queries = self._plan_queries(
-                workload.queries, planner, plan_artifacts)
-            update_artifacts = {}
+                workload.queries, planner)
             update_plans, reused_updates = self._plan_updates(
-                workload.updates, planner, update_planner,
-                update_artifacts)
+                workload.updates, planner, update_planner)
             planning_seconds = time.perf_counter() - stage
 
         prepared = PreparedWorkload(key, workload, candidates,
                                     query_plans, update_plans,
                                     enumeration_seconds,
-                                    planning_seconds,
-                                    plan_artifacts=plan_artifacts,
-                                    update_artifacts=update_artifacts)
+                                    planning_seconds)
         reused = reused_queries + reused_updates
         replanned = len(query_plans) + len(update_plans) - reused
         prepared.reused_statements = reused
@@ -483,7 +441,7 @@ class Advisor:
         self._prepared[key] = prepared
         return prepared
 
-    def _plan_queries(self, queries, planner, artifacts):
+    def _plan_queries(self, queries, planner):
         """Per-query plan spaces: ``({query: space}, reused count)``.
 
         A query's plan space is a pure function of its structure, the
@@ -501,7 +459,7 @@ class Advisor:
         """
         store = self.artifacts
         keys = {}      # signature -> artifact key
-        resolved = {}  # artifact key -> artifact (None until planned)
+        resolved = {}  # artifact key -> space (None until planned)
         missing = []   # (key, the form's first query) to plan
         forms = []     # (query, key) in workload order
         reused = 0
@@ -521,16 +479,12 @@ class Advisor:
                 reused += 1
             forms.append((query, key))
         for key, query in missing:
-            resolved[key] = PlanArtifact(planner.plans_for(query))
+            resolved[key] = planner.plans_for(query)
             store.put(key, resolved[key])
-        spaces = {}
-        for query, key in forms:
-            artifacts[query] = resolved[key]
-            spaces[query] = resolved[key].space
+        spaces = {query: resolved[key] for query, key in forms}
         return spaces, reused
 
-    def _plan_updates(self, updates, planner, update_planner,
-                      artifacts):
+    def _plan_updates(self, updates, planner, update_planner):
         """Maintenance plans: ``({update: [UpdatePlan]}, reused count)``.
 
         One artifact per (update form, modified column family) pair,
@@ -544,7 +498,7 @@ class Advisor:
         """
         store = self.artifacts
         pool = planner.pool
-        forms = {}     # signature -> [artifact | position into missing]
+        forms = {}     # signature -> [UpdatePlan | position in missing]
         slots = []     # (update, its form's pairs)
         stale = set()  # updates with at least one store miss
         missing = []   # (update, index, supports, key) work items
@@ -565,30 +519,27 @@ class Advisor:
                         for support in supports)
                     key = ("update-plan", signature, index.key,
                            update_planner.max_support_plans, fingerprint)
-                    artifact = store.get(key)
-                    if artifact is None:
+                    update_plan = store.get(key)
+                    if update_plan is None:
                         pairs.append(len(missing))
                         missing.append((update, index, supports, key))
                     else:
-                        pairs.append(artifact)
-            if not all(isinstance(pair, UpdatePlanArtifact)
-                       for pair in pairs):
+                        pairs.append(update_plan)
+            if not all(isinstance(pair, UpdatePlan) for pair in pairs):
                 stale.add(update)
             slots.append((update, pairs))
         fresh = []
         for update, index, supports, key in missing:
-            artifact = UpdatePlanArtifact(update_planner.plan_one(
-                update, index, supports=supports))
-            store.put(key, artifact)
-            fresh.append(artifact)
+            update_plan = update_planner.plan_one(update, index,
+                                                  supports=supports)
+            store.put(key, update_plan)
+            fresh.append(update_plan)
         update_plans = {}
         reused = 0
         for update, pairs in slots:
-            resolved = [pair if isinstance(pair, UpdatePlanArtifact)
-                        else fresh[pair] for pair in pairs]
-            artifacts[update] = resolved
-            update_plans[update] = [artifact.plan
-                                    for artifact in resolved]
+            update_plans[update] = [
+                pair if isinstance(pair, UpdatePlan) else fresh[pair]
+                for pair in pairs]
             if update not in stale:
                 reused += 1
         return update_plans, reused
@@ -694,46 +645,26 @@ class Advisor:
     def _cost_prepared(self, prepared, timing):
         """Cost all plans once per cost model (plan costs are
         weight-independent).  Costing *mutates* the shared plan objects
-        in place (step costs, the per-plan cost cache).  Plans whose
-        artifact was already costed by this model (in an earlier
-        prepare sharing the artifact) are skipped — their step costs
-        are already in place."""
+        in place (step costs, the per-plan cost cache)."""
         if prepared._costed_by == id(self.cost_model):
             return
         active = telemetry.current()
-        model_id = id(self.cost_model)
         with active.span("cost_calculation"):
             stage = time.perf_counter()
             hits_before, misses_before, _ = self.cost_model.cache_info()
             # statements of one form share their plans: each distinct
-            # space is costed once
-            query_spaces = {}
-            for query, space in prepared.query_plans.items():
-                artifact = prepared.plan_artifacts.get(query)
-                if artifact is not None \
-                        and artifact.costed_by == model_id:
-                    continue
-                query_spaces.setdefault(id(space), space)
-            update_spaces = {}
-            for update, plans in prepared.update_plans.items():
-                pairs = prepared.update_artifacts.get(update)
-                if pairs:
-                    plans = [artifact.plan for artifact in pairs
-                             if artifact.costed_by != model_id]
-                if plans:
-                    update_spaces.setdefault(id(plans[0]), plans)
+            # space and maintenance plan is costed once
+            query_spaces = {id(space): space
+                            for space in prepared.query_plans.values()}
+            update_plans = {id(update_plan): update_plan
+                            for plans in prepared.update_plans.values()
+                            for update_plan in plans}
             for space in query_spaces.values():
                 for plan in space:
                     self.cost_model.cost_plan(plan)
-            for plans in update_spaces.values():
-                for update_plan in plans:
-                    self.cost_model.cost_update_plan(update_plan)
-            for artifact in prepared.plan_artifacts.values():
-                artifact.costed_by = model_id
-            for pairs in prepared.update_artifacts.values():
-                for artifact in pairs:
-                    artifact.costed_by = model_id
-            prepared._costed_by = model_id
+            for update_plan in update_plans.values():
+                self.cost_model.cost_update_plan(update_plan)
+            prepared._costed_by = id(self.cost_model)
             # costs changed: downstream artifacts are stale
             prepared._pruned_query_plans = None
             prepared._pruned_update_plans = None
@@ -748,12 +679,6 @@ class Advisor:
         timing.cost_calculation = prepared._cost_seconds
         timing.cache_hits += prepared._cost_cache_hits
 
-    @staticmethod
-    def _pruned_hit(artifact, pruned_key):
-        """True when an artifact already carries pruning results for
-        this (cost model, cap) configuration."""
-        return artifact is not None and artifact.pruned_key == pruned_key
-
     def _prune_prepared(self, prepared, timing):
         if prepared._pruned_query_plans is not None:
             return
@@ -761,77 +686,33 @@ class Advisor:
         with active.span("pruning"):
             stage = time.perf_counter()
             ledger = prepared._prune_ledger
-            # pruned results are a pure function of costed plans and
-            # the cap, so artifacts costed+pruned under the same model
-            # and cap serve their pruned plans and ledger records as-is;
-            # the ledger is filled in workload order.
-            query_key = (id(self.cost_model), self.prune_to)
-            reused_prunes = 0
-            # hit/miss is decided once up front, before any write-back:
-            # the statements of one form share an artifact object, and
-            # all of them count as the miss their form was
-            query_items = [
-                (query, plans, prepared.plan_artifacts.get(query))
-                for query, plans in prepared.query_plans.items()]
-            query_items = [
-                (query, plans, artifact,
-                 self._pruned_hit(artifact, query_key))
-                for query, plans, artifact in query_items]
-            # statements of one form share one plan space: prune it once
+            # statements of one form share one plan space: prune it
+            # once, and fill the ledger in workload order
             pruned = {}
             pruned_query_plans = {}
-            for query, plans, artifact, hit in query_items:
-                if hit:
-                    kept, record = artifact.pruned, artifact.record
-                    reused_prunes += 1
-                else:
-                    if id(plans) not in pruned:
-                        removals = []
-                        kept = prune_plan_space(plans, self.prune_to,
-                                                removals=removals)
-                        pruned[id(plans)] = kept, prune_record(
-                            query, len(plans), len(kept), removals)
-                    kept, record = pruned[id(plans)]
-                    if artifact is not None:
-                        artifact.pruned = kept
-                        artifact.record = record
-                        artifact.pruned_key = query_key
+            for query, plans in prepared.query_plans.items():
+                if id(plans) not in pruned:
+                    removals = []
+                    kept = prune_plan_space(plans, self.prune_to,
+                                            removals=removals)
+                    pruned[id(plans)] = kept, prune_record(
+                        query, len(plans), len(kept), removals)
+                kept, record = pruned[id(plans)]
                 pruned_query_plans[query] = kept
                 label = query.label or str(query)
                 ledger[label] = _relabeled(record, label)
             prepared._pruned_query_plans = pruned_query_plans
-            support_key = (id(self.cost_model), self.support_prune_to)
-            update_items = []
-            for update, plans in prepared.update_plans.items():
-                pairs = prepared.update_artifacts.get(update)
-                rows = []
-                for position, update_plan in enumerate(plans):
-                    artifact = pairs[position] if pairs else None
-                    rows.append((update_plan, artifact,
-                                 self._pruned_hit(artifact,
-                                                  support_key)))
-                update_items.append((update, rows))
             pruned = {}
             pruned_updates = {}
-            for update, rows in update_items:
+            for update, plans in prepared.update_plans.items():
                 pruned_plans = []
-                for update_plan, artifact, hit in rows:
-                    if hit:
-                        pruned_plan = artifact.pruned
-                        records = artifact.records
-                        reused_prunes += 1
-                    else:
-                        if id(update_plan) not in pruned:
-                            records = {}
-                            pruned[id(update_plan)] = (
-                                self._prune_update_plan(update_plan,
-                                                        records),
-                                records)
-                        pruned_plan, records = pruned[id(update_plan)]
-                        if artifact is not None:
-                            artifact.pruned = pruned_plan
-                            artifact.records = dict(records)
-                            artifact.pruned_key = support_key
+                for update_plan in plans:
+                    if id(update_plan) not in pruned:
+                        records = {}
+                        pruned[id(update_plan)] = (
+                            self._prune_update_plan(update_plan, records),
+                            records)
+                    pruned_plan, records = pruned[id(update_plan)]
                     pruned_plans.append(pruned_plan)
                     ledger.update(_support_records(records, update_plan,
                                                    update))
@@ -841,7 +722,6 @@ class Advisor:
                     prepared._pruned_query_plans, pruned_updates)
             prepared._pruning_seconds = time.perf_counter() - stage
         if active.enabled:
-            active.count("prune.spaces_reused", reused_prunes)
             before = sum(len(plans)
                          for plans in pruned_updates.values())
             after = sum(len(plans) for plans

@@ -6,26 +6,31 @@ with only the candidate-combination step (§IV-A3) and the BIP itself
 looking across statements.  The advisor exploits that by keeping the
 per-statement products in this store, keyed by structural statement
 digest plus the stage configuration that produced them, so editing one
-statement re-runs the pipeline for that statement alone:
+statement re-enumerates and re-plans that statement alone:
 
 * **enumeration artifacts** — one candidate set per workload query and
   per (update, maintained column family) support round, together with
   the provenance events (candidate, derivation rule) recorded while
   enumerating, replayed verbatim into each new prepare's
   :class:`~repro.explain.provenance.ProvenanceRecorder`;
-* **plan artifacts** — one :class:`~repro.planner.plans.PlanSpace` per
-  query, keyed additionally by a fingerprint of the *relevant pool
-  subset* (the candidates that can appear in any of the query's plans),
-  so a pool change far away from a statement never invalidates it; the
-  costed/pruned results and their pruning-ledger records ride the
-  artifact and are reused too;
-* **update-plan artifacts** — one :class:`~repro.planner.plans
-  .UpdatePlan` per (update, column family) pair, with the same riding
-  pruned results and ledger records.
+* **plan spaces** — one :class:`~repro.planner.plans.PlanSpace` per
+  query form, under ``("plan", signature, plan cap, pool key)``: the
+  pool key fingerprints the *relevant pool subset* (the candidates
+  that can appear in any of the query's plans), so a pool change far
+  away from a statement never invalidates it;
+* **maintenance plans** — one :class:`~repro.planner.plans.UpdatePlan`
+  per (update form, modified column family) pair, under
+  ``("update-plan", signature, column family, support cap, pool
+  keys)``.
 
-The store is a bounded, thread-safe LRU; entries are immutable once
-stored (pruned results are filled in once per cost model and then only
-read).
+Only what enumeration and planning produce is stored.  Costing and
+pruning run once per prepared workload (each distinct space once), and
+the prepared-workload cache serves them across weight changes; a
+prepare after a structural edit re-costs and re-prunes every form.
+
+The store is a bounded, thread-safe LRU; entries are not replaced once
+stored (costing fills in plan costs in place, the same for every
+prepare under one cost model).
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ import threading
 __all__ = [
     "ArtifactStore",
     "EnumerationArtifact",
-    "PlanArtifact",
-    "UpdatePlanArtifact",
 ]
 
 
@@ -57,42 +60,6 @@ class EnumerationArtifact:
         self.indexes = frozenset(indexes)
         self.events = tuple(events)
         self.support_count = support_count
-
-
-class PlanArtifact:
-    """One query's plan space plus its costed/pruned derivatives.
-
-    ``pruned`` and ``record`` (the pruning-ledger record) are filled in
-    by the advisor the first time the space is pruned for a given
-    ``(cost model, prune_to)`` configuration — ``pruned_key`` — and
-    served from the artifact afterwards.
-    """
-
-    __slots__ = ("space", "pruned", "record", "pruned_key", "costed_by")
-
-    def __init__(self, space):
-        self.space = space
-        self.pruned = None
-        self.record = None
-        self.pruned_key = None
-        self.costed_by = None
-
-
-class UpdatePlanArtifact:
-    """One (update, column family) maintenance plan and its derivatives.
-
-    ``records`` maps support-query labels to their pruning-ledger
-    records, mirroring :class:`PlanArtifact`.
-    """
-
-    __slots__ = ("plan", "pruned", "records", "pruned_key", "costed_by")
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.pruned = None
-        self.records = None
-        self.pruned_key = None
-        self.costed_by = None
 
 
 class ArtifactStore:

@@ -80,6 +80,44 @@ def test_prepare_is_cached_by_structure(hotel_setup):
     assert reads is not first
 
 
+#: (first text, edited text) pairs whose statements differ only in an
+#: IN-list length or in OR versus AND
+_EDITED_PROBES = [
+    ("SELECT Guest.GuestName FROM Guest WHERE Guest.GuestID IN (?a, ?b)",
+     "SELECT Guest.GuestName FROM Guest "
+     "WHERE Guest.GuestID IN (?a, ?b, ?c, ?d, ?e, ?f)"),
+    ("SELECT Guest.GuestEmail FROM Guest "
+     "WHERE Guest.GuestID = ?a OR Guest.GuestName = ?b",
+     "SELECT Guest.GuestEmail FROM Guest "
+     "WHERE Guest.GuestID = ?a AND Guest.GuestName = ?b"),
+]
+
+
+@pytest.mark.parametrize("first, edited", _EDITED_PROBES,
+                         ids=["in-list-length", "or-to-and"])
+def test_prepared_cache_tells_edited_statements_apart(first, edited):
+    """A statement whose IN-list length or OR/AND structure changed is a
+    new structure: the shared advisor must plan it afresh."""
+    model = hotel_model()
+
+    def with_probe(text):
+        workload = hotel_workload(model)
+        workload.add_statement(text, weight=1.0, label="probe")
+        return workload
+
+    shared = Advisor(model)
+    shared.recommend(with_probe(first))
+    workload = with_probe(edited)
+    served = shared.recommend(workload)
+    fresh = Advisor(model).recommend(with_probe(edited))
+    assert served.total_cost == fresh.total_cost
+    probe = next(query for query in workload.queries
+                 if query.label == "probe")
+    prepared = shared.prepare(workload)
+    assert any(query is probe for query in prepared.query_plans)
+    assert any(query is probe for query in served.query_plans)
+
+
 def test_weight_change_matches_fresh_solve(hotel_setup):
     model, _workload = hotel_setup
     shared = Advisor(model)
