@@ -48,6 +48,9 @@ class SelectionProgram:
         self.plan_columns = []
         #: (update_plan, support query, plan, column)
         self.support_columns = []
+        #: (column, statement, unweighted cost) per cost charge, in
+        #: the order :meth:`_add_block` charged them
+        self._charges = []
         self._entries = []  # (row, column, value)
         self._lower = []
         self._upper = []
@@ -89,6 +92,7 @@ class SelectionProgram:
             links = {}
             for plan in plans:
                 column = self._new_column(weight * plan.cost)
+                self._charges.append((column, query, plan.cost))
                 self.plan_columns.append((query, plan, column))
                 self._entries.append((choose_one, column, 1.0))
                 self._link_plan(column, plan, links, selection)
@@ -97,12 +101,15 @@ class SelectionProgram:
             for update_plan in plans_by_index:
                 selected = selection[update_plan.index.key]
                 self.costs[selected] += weight * update_plan.update_cost
+                self._charges.append((selected, update,
+                                      update_plan.update_cost))
                 grouped = update_plan.support_plans_by_query
                 for support, plans in grouped.items():
                     gate = self._add_row(0.0, 0.0, [(selected, -1.0)])
                     links = {}
                     for plan in plans:
                         column = self._new_column(weight * plan.cost)
+                        self._charges.append((column, update, plan.cost))
                         self.support_columns.append(
                             (update_plan, support, plan, column))
                         self._entries.append((gate, column, 1.0))
@@ -223,8 +230,6 @@ class _Program(SelectionProgram):
         self.index_column = {index.key: column
                              for column, index in enumerate(self.indexes)}
         super().__init__(len(self.indexes), len(self.indexes))
-        #: lazily built index arrays for vectorized reweighting
-        self._reweight_arrays = None
         #: wall-clock seconds of the last optimize(), split so the
         #: advisor can attribute solving vs result extraction honestly
         self.solve_seconds = 0.0
@@ -260,76 +265,23 @@ class _Program(SelectionProgram):
 
     # -- re-costing -----------------------------------------------------------
 
-    def _reweight_cache(self):
-        """Index arrays mapping statements to their cost-vector slots.
-
-        Built once per program: a list of distinct statements, and for
-        each cost contribution (query plan columns, support plan
-        columns, per-column-family maintenance terms) an integer column
-        array, a base-cost array and a statement-position array.  A
-        weight change then reduces to gathers and one scatter-add over
-        these arrays instead of a Python loop over every plan column.
-        Plan base costs are stable for the program's lifetime — the
-        advisor rebuilds programs whenever the cost model re-costs.
-        """
-        if self._reweight_arrays is None:
-            statements = []
-            positions = {}
-
-            def position(statement):
-                slot = positions.get(statement.label)
-                if slot is None:
-                    slot = positions[statement.label] = len(statements)
-                    statements.append(statement)
-                return slot
-
-            plan_data = np.array(
-                [(column, plan.cost, position(query))
-                 for query, plan, column in self.plan_columns],
-                dtype=float).reshape(-1, 3)
-            support_data = np.array(
-                [(column, plan.cost, position(update_plan.update))
-                 for update_plan, _support, plan, column
-                 in self.support_columns],
-                dtype=float).reshape(-1, 3)
-            maintenance_data = np.array(
-                [(self.index_column[update_plan.index.key],
-                  update_plan.update_cost, position(update))
-                 for update, update_plans
-                 in self.problem.update_classes.items()
-                 for update_plan in update_plans],
-                dtype=float).reshape(-1, 3)
-            self._reweight_arrays = (statements, [
-                (data[:, 0].astype(np.intp), data[:, 1],
-                 data[:, 2].astype(np.intp), accumulate)
-                for data, accumulate in ((plan_data, False),
-                                         (support_data, False),
-                                         (maintenance_data, True))])
-        return self._reweight_arrays
-
     def reweight(self, weights):
         """Re-cost the program for new statement weights, in place.
 
         Choose-one rows, support gates and plan links are all
         weight-independent, so only the cost vector needs rebuilding
-        — the expensive construction work survives a weight change; the
-        rebuild itself is vectorized (see :meth:`_reweight_cache`).
+        — the expensive construction work survives a weight change.
+        The charges are replayed in :meth:`_add_block`'s order, so the
+        vector equals a fresh build's bit for bit.
         """
         problem = self.problem
         problem.set_weights(weights)
-        statements, groups = self._reweight_cache()
-        by_statement = np.array([problem.class_weight(statement)
-                                 for statement in statements])
-        costs = np.zeros(self.columns)
-        for columns, base_costs, stmt_positions, accumulate in groups:
-            if not len(columns):
-                continue
-            terms = by_statement[stmt_positions] * base_costs
-            if accumulate:
-                np.add.at(costs, columns, terms)
-            else:
-                costs[columns] = terms
-        self.costs = costs.tolist()
+        weight_of = {statement: problem.class_weight(statement)
+                     for statement in problem.classes}
+        costs = [0.0] * self.columns
+        for column, statement, cost in self._charges:
+            costs[column] += weight_of[statement] * cost
+        self.costs = costs
 
     # -- solving --------------------------------------------------------------
 

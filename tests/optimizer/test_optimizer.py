@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Advisor
 from repro.cost import CassandraCostModel
 from repro.exceptions import OptimizationError
 from repro.indexes import Index, entity_fetch_index
@@ -11,6 +12,7 @@ from repro.optimizer import (
     OptimizationProblem,
 )
 from repro.planner import QueryPlanner, UpdatePlanner
+from repro.rubis import rubis_model, rubis_workload
 from repro.workload import parse_statement
 
 
@@ -91,7 +93,7 @@ def test_bip_matches_brute_force_write_heavy(hotel, pool, statements):
 
 
 def test_reweight_matches_fresh_build(hotel, pool, statements):
-    """The vectorized reweight must equal a from-scratch cost vector."""
+    """A reweight must equal a from-scratch cost vector bit for bit."""
     optimizer = BIPOptimizer()
     program = optimizer.prepare(_problem(hotel, pool, statements))
     new_weights = {"rooms_in_city": 3.0, "room_number": 0.25,
@@ -99,7 +101,30 @@ def test_reweight_matches_fresh_build(hotel, pool, statements):
     optimizer.reweight(program, new_weights)
     fresh = optimizer.prepare(_problem(hotel, pool, statements,
                                        weights=(3.0, 0.25, 7.5)))
-    assert program.costs == pytest.approx(fresh.costs)
+    assert program.costs == fresh.costs
+
+
+@pytest.mark.filterwarnings("ignore::repro.exceptions.TruncationWarning")
+def test_reweight_matches_fresh_build_with_shared_forms():
+    """RuBiS bidding has statements sharing one form and updates with
+    support queries; a reweight still equals a fresh build exactly."""
+    model = rubis_model()
+    workload = rubis_workload(model, mix="bidding")
+    advisor = Advisor(model)
+    prepared = advisor.prepare(workload)
+    advisor.recommend_prepared(prepared)
+    program = prepared._program
+    assert len(program.problem.classes) < len(program.problem.representative)
+    assert program.support_columns
+    weights = {statement.label: 0.5 + position % 7 * 0.37
+               for position, (statement, _weight)
+               in enumerate(workload.weighted_statements)}
+    optimizer = BIPOptimizer()
+    optimizer.reweight(program, weights)
+    fresh = optimizer.prepare(OptimizationProblem(
+        prepared._pruned_query_plans, prepared._pruned_update_plans,
+        weights))
+    assert program.costs == fresh.costs
 
 
 def test_write_pressure_reduces_denormalization(hotel, pool, statements):
