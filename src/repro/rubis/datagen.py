@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime
 import random
+from itertools import islice
 
 from repro.backend.dataset import Dataset
 from repro.rubis.transactions import TRANSACTIONS
@@ -161,11 +162,13 @@ class RubisParameterGenerator:
 
     def _any_id(self, entity_name):
         rows = self.dataset.rows[entity_name]
-        cached = self._key_cache.get(entity_name)
-        if cached is None or cached[0] != len(rows):
-            cached = (len(rows), list(rows))
-            self._key_cache[entity_name] = cached
-        keys = cached[1]
+        keys = self._key_cache.get(entity_name)
+        if keys is None or len(keys) > len(rows):
+            keys = self._key_cache[entity_name] = list(rows)
+        elif len(keys) < len(rows):
+            # inserts append: the new keys are the last in insertion order
+            grown = list(islice(reversed(rows), len(rows) - len(keys)))
+            keys.extend(reversed(grown))
         return keys[self.rng.randrange(len(keys))]
 
     def requests_for(self, transaction):

@@ -1,5 +1,7 @@
 """Unit tests for the RUBiS data and parameter generators."""
 
+import random
+
 import pytest
 
 from repro.rubis import (
@@ -83,3 +85,23 @@ def test_store_bid_parameters_consistent(dataset):
     assert params["amount"] > item["Item.MaxBid"]
     assert params["nb_of_bids"] == item["Item.NbOfBids"] + 1
     assert params["max_bid"] >= item["Item.MaxBid"]
+
+
+def test_id_draws_follow_inserts_and_deletes(model):
+    """Draws interleaved with inserts (and a delete) pick the same keys
+    as drawing from a fresh ``list(rows)`` each time, seed for seed."""
+    dataset = generate_dataset(model, seed=7)
+    generator = RubisParameterGenerator(dataset, seed=19)
+    reference = random.Random(19)
+    rows = dataset.rows["Bid"]
+    next_bid = max(rows) + 1
+    for step in range(60):
+        for _ in range(step % 4):
+            dataset.add_row("Bid", {"BidID": next_bid, "BidQty": 1,
+                                    "BidAmount": 1.0, "BidDate": 0})
+            next_bid += 1
+        if step == 40:
+            dataset.delete_entity("Bid", next(iter(rows)))
+        keys = list(rows)
+        expected = keys[reference.randrange(len(keys))]
+        assert generator._any_id("Bid") == expected
