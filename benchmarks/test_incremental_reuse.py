@@ -7,12 +7,18 @@ rest are served from the store — so the delta prepare must be at least
 3x faster than a cold prepare, while producing exactly the cold
 recommendation for the edited workload.
 
+It also records, unasserted, what the edit costs a whole re-advise: a
+warm advisor that already recommended the base workload re-runs
+``recommend`` on the edited one (costing and pruning re-run for every
+form), beside a cold ``recommend`` of the edited workload.
+
 Writes ``BENCH_incremental.json`` at the repo root.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import statistics
 import time
@@ -99,6 +105,20 @@ def test_incremental_reprepare_speedup():
         sorted(index.key for index in fresh.indexes)
     assert identical, "incremental recommendation diverged from cold"
 
+    # the whole edit->recommend loop, warm and cold (median of three)
+    cold_recommend_samples = []
+    warm_recommend_samples = []
+    for _ in range(3):
+        cold = Advisor(model, max_plans=MAX_PLANS)
+        _, seconds = _timed(lambda: cold.recommend(edited))
+        cold_recommend_samples.append(seconds)
+        warm = Advisor(model, max_plans=MAX_PLANS)
+        warm.recommend(workload)
+        _, seconds = _timed(lambda: warm.recommend(edited))
+        warm_recommend_samples.append(seconds)
+    cold_recommend = statistics.median(cold_recommend_samples)
+    warm_recommend = statistics.median(warm_recommend_samples)
+
     # supplementary: the blast radius of editing each of the first few
     # queries (hub statements change the pool other statements see, so
     # they replan more — correctness requires it)
@@ -118,9 +138,14 @@ def test_incremental_reprepare_speedup():
 
     payload = {
         "workload": "rubis/bidding",
+        "cpu_count": os.cpu_count(),
         "max_plans": MAX_PLANS,
         "cold_prepare_seconds": cold_seconds,
         "cold_samples": cold_samples,
+        "cold_recommend_seconds": cold_recommend,
+        "cold_recommend_samples": cold_recommend_samples,
+        "warm_edit_recommend_seconds": warm_recommend,
+        "warm_edit_recommend_samples": warm_recommend_samples,
         "delta_prepare_seconds": delta_seconds,
         "delta_samples": delta_samples,
         "delta_stats": delta_stats,
@@ -135,6 +160,8 @@ def test_incremental_reprepare_speedup():
     summary = (f"cold prepare (median):   {cold_seconds:.4f}s\n"
                f"delta prepare (median):  {delta_seconds:.4f}s\n"
                f"speedup:                 {speedup:.1f}x\n"
+               f"cold recommend (median): {cold_recommend:.4f}s\n"
+               f"warm edit->recommend:    {warm_recommend:.4f}s\n"
                f"identical result:        {identical}\n"
                f"headline edit:           {delta_stats}\n"
                f"edit survey:             {survey}\n")
