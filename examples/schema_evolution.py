@@ -11,7 +11,7 @@ Two workflows beyond the one-shot recommendation:
 3. *Incremental re-advising* — when the workload is *edited* (a
    statement retired), clone it, drop the statement and re-recommend:
    the advisor's per-statement artifact store replans only what
-   changed, and the previous recommendation warm-starts the solve.
+   changed.
 
 Run with::
 
@@ -61,14 +61,13 @@ def main():
     # -- 4. the workload is edited: a statement is retired ---------------
     # clone() + remove_statement() build the edited workload without
     # mutating the deployed one; structural_diff shows what changed,
-    # and the advisor replans only the affected statements while the
-    # previous recommendation warm-starts the solve
+    # and the advisor replans only the affected statements
     edited = drifted.clone()
     edited.remove_statement("pois_for_hotel")
     diff = drifted.structural_diff(edited)
     print(f"\nWorkload edited ({diff.summary()}): retired "
           f"'pois_for_hotel'")
-    retuned = advisor.recommend(edited, warm_start=target)
+    retuned = advisor.recommend(edited)
     timing = retuned.timing
     print(f"re-advised incrementally: {timing.reused_statements} "
           f"statement(s) reused, {timing.replanned_statements} "

@@ -340,21 +340,18 @@ class Advisor:
 
     # -- main entry point ----------------------------------------------------
 
-    def recommend(self, workload, space_limit=None, warm_start=None):
+    def recommend(self, workload, space_limit=None):
         """Recommend a schema and one plan per statement for a workload.
 
         A thin wrapper over :meth:`prepare` + :meth:`recommend_prepared`:
         repeated calls with structurally identical workloads (weight
         changes included) reuse the cached plan spaces and program and
-        only re-cost and re-solve.  ``warm_start`` optionally passes a
-        previous recommendation (or iterable of column families) as an
-        incumbent — see :meth:`recommend_prepared`.
+        only re-cost and re-solve.
         """
         with telemetry.current().span("recommend"):
             prepared = self.prepare(workload)
             return self.recommend_prepared(prepared, weights=workload,
-                                           space_limit=space_limit,
-                                           warm_start=warm_start)
+                                           space_limit=space_limit)
 
     # -- stage 1: enumeration + planning -------------------------------------
 
@@ -584,7 +581,7 @@ class Advisor:
         return dict(weights)
 
     def recommend_prepared(self, prepared, weights=None,
-                           space_limit=None, warm_start=None):
+                           space_limit=None):
         """Cost, prune and solve a prepared workload.
 
         ``weights`` maps statement labels to weights; a
@@ -594,15 +591,6 @@ class Advisor:
         and program construction all cache on ``prepared``: after the
         first solve, a change of weights or ``space_limit`` rebuilds only
         the program's cost vector and re-solves.
-
-        ``warm_start`` optionally passes a previous
-        :class:`SchemaRecommendation` (or any iterable of column
-        families / keys): the previous schema is evaluated as a
-        feasible incumbent and its cost bounds the new solve.  The
-        bound can change which of several *equal-cost* optima the
-        solver returns, so warm starting is opt-in; leave it unset when
-        byte-identical reproducibility across runs matters more than
-        solve time.
         """
         timing = AdvisorTiming()
         started = time.perf_counter()
@@ -628,8 +616,7 @@ class Advisor:
         self._cost_prepared(prepared, timing)
         self._prune_prepared(prepared, timing)
         recommendation = self._optimize_prepared(prepared, weights,
-                                                 space_limit, timing,
-                                                 warm_start=warm_start)
+                                                 space_limit, timing)
         recommendation.timing = timing
         # decision provenance: candidate derivations from enumeration,
         # the dominance-pruning ledger, and the cost model for per-step
@@ -730,8 +717,7 @@ class Advisor:
                          before - after)
         timing.pruning = prepared._pruning_seconds
 
-    def _optimize_prepared(self, prepared, weights, space_limit, timing,
-                           warm_start=None):
+    def _optimize_prepared(self, prepared, weights, space_limit, timing):
         active = telemetry.current()
         stage = time.perf_counter()
         with active.span("bip_construction") as span:
@@ -758,8 +744,7 @@ class Advisor:
         timing.bip_construction = time.perf_counter() - stage
 
         stage = time.perf_counter()
-        recommendation = self.optimizer.optimize(program,
-                                                 warm_start=warm_start)
+        recommendation = self.optimizer.optimize(program)
         solving = time.perf_counter() - stage
         # the program separates solver time from result extraction
         timing.bip_solving = max(solving - program.extract_seconds, 0.0)

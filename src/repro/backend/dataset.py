@@ -22,6 +22,9 @@ class Dataset:
         self.model = model
         #: entity name -> {id value: {field_id: value}}
         self.rows = {name: {} for name in model.entities}
+        #: entity name -> rows deleted so far, so a cached key list can
+        #: tell a delete plus an insert from no change at all
+        self.deletions = {name: 0 for name in model.entities}
         #: foreign key field id -> {source id: set of target ids}
         self.links = {}
         for entity in model.entities.values():
@@ -67,6 +70,7 @@ class Dataset:
         """Remove a row and every relationship instance touching it."""
         entity = self.model.entity(entity_name)
         self.rows[entity.name].pop(entity_id, None)
+        self.deletions[entity.name] += 1
         for key in entity.foreign_keys:
             targets = self.links[key.id].pop(entity_id, set())
             if key.reverse is not None:
@@ -276,9 +280,6 @@ class Dataset:
         return [source_id]
 
     # -- statistics refresh -----------------------------------------------------------
-
-    def entity_count(self, entity_name):
-        return len(self.rows[entity_name])
 
     def sync_counts(self):
         """Copy observed row counts back onto the model's entities so

@@ -152,12 +152,6 @@ def build_parser():
                              "more times with write weights scaled 2x "
                              "per epoch, reusing the prepared pipeline; "
                              "prints a per-epoch timing table")
-    parser.add_argument("--warm-start", action="store_true",
-                        dest="warm_start",
-                        help="seed each --repeat-tuning epoch's solve "
-                             "with the previous recommendation as an "
-                             "incumbent bound (faster; may pick a "
-                             "different equal-cost optimum)")
     parser.add_argument("--timing", action="store_true",
                         help="print the advisor stage timing breakdown")
     parser.add_argument("--trace", action="store_true",
@@ -753,9 +747,9 @@ def run_windows(argv):
     windowed = document["totals"]["total_cost"]
     best = min(entry["total_cost"]
                for entry in document["baselines"].values())
-    # both baselines are feasible points of the windowed program, so
-    # beyond solver tolerance this inequality cannot fail; CI leans on
-    # it as an end-to-end consistency check
+    # recommend_windows returns the cheapest of the three schedules, so
+    # this inequality cannot fail; CI leans on it as an end-to-end
+    # consistency check
     if windowed > best * (1.0 + 1e-6) + 1e-6:
         print(f"error: windowed schedule ({windowed:.3f}) costs more "
               f"than the best baseline ({best:.3f})", file=sys.stderr)
@@ -799,16 +793,12 @@ def main(argv=None):
             tuning_rows = None
             if arguments.repeat_tuning:
                 tuning_rows = {"cold": recommendation.timing}
-                previous = recommendation
                 for epoch in range(1, arguments.repeat_tuning + 1):
                     factor = 2.0 ** epoch
                     tuned = workload.scale_weights(factor)
                     epoch_rec = advisor.recommend(
-                        tuned, space_limit=arguments.space_limit,
-                        warm_start=previous if arguments.warm_start
-                        else None)
+                        tuned, space_limit=arguments.space_limit)
                     tuning_rows[f"writes x{factor:g}"] = epoch_rec.timing
-                    previous = epoch_rec
             if sink is not None:
                 report = sink.report()
     except NoseError as error:

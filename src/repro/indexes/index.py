@@ -110,10 +110,6 @@ class Index:
         stored = self._field_ids
         return all(f.id in stored for f in fields)
 
-    def covers_ids(self, field_ids):
-        """True if every listed field id is stored in this column family."""
-        return self._field_ids.issuperset(field_ids)
-
     @property
     def all_field_ids(self):
         return self._field_ids
@@ -135,11 +131,6 @@ class Index:
         return self._projection
 
     # -- path compatibility ---------------------------------------------------
-
-    @property
-    def entity_sequence(self):
-        """Entities along the path, in path order."""
-        return self.path.entities
 
     def matches_segment(self, segment):
         """True if this index is defined over exactly ``segment``'s walk

@@ -333,55 +333,20 @@ class _Program(SelectionProgram):
         upper[fixed] = 0.0
         return upper
 
-    def _warm_bound(self, keys):
-        """Incumbent cost bound from a previous schema's keys, or None.
-
-        Evaluating the schema as a full solution of *this* program
-        yields a feasible objective value; solutions costing more can
-        be cut off without losing any optimum.  scipy's ``milp`` has no
-        MIP-start API, so this incumbent-bound cut is how a previous
-        solution warm-starts the solve.  None (no cut) when the warm
-        schema is infeasible for the current problem.
-        """
-        priced = self.problem.price(keys)
-        active = telemetry.current()
-        if priced is None:
-            if active.enabled:
-                active.count("bip.warm_start_infeasible")
-            return None
-        if active.enabled:
-            active.count("bip.warm_starts_applied")
-            active.gauge("bip.warm_start_bound", priced.cost)
-        # slack absorbs float noise only: any true optimum still
-        # satisfies cost <= incumbent < incumbent + slack
-        return priced.cost + 1e-7 * (1.0 + abs(priced.cost))
-
     def optimize(self, minimize_schema_size=True, mip_rel_gap=1e-4,
-                 time_limit=120.0, warm_start=None):
+                 time_limit=120.0):
         """Two-phase solve: min cost, then min #column families.
 
         ``mip_rel_gap`` and ``time_limit`` bound the branch-and-bound
         effort; with a time limit the incumbent solution is returned
         (still feasible, within the reported gap of optimal).
-        ``warm_start`` optionally supplies a previous solution whose
-        cost bounds the first solve from above (see :meth:`_warm_bound`
-        for the exact semantics — the optimum is never changed, though
-        equal-cost ties may resolve differently than an unassisted
-        solve).
         """
         active = telemetry.current()
         solve_started = time.perf_counter()
         with active.span("bip_solving"):
             options = {"mip_rel_gap": mip_rel_gap,
                        "time_limit": time_limit}
-            bound = None
-            if warm_start is not None:
-                if hasattr(warm_start, "indexes"):
-                    warm_start = warm_start.indexes
-                bound = self._warm_bound({getattr(index, "key", index)
-                                          for index in warm_start})
-            result = self._solve(self.costs, [self._matrix(bound)],
-                                 options)
+            result = self._solve(self.costs, [self._matrix()], options)
             best_cost = float(np.asarray(self.costs) @ result.x)
             if minimize_schema_size:
                 phase1_seconds = time.perf_counter() - solve_started
@@ -496,21 +461,16 @@ class BIPOptimizer:
         program.reweight(weights)
         return program
 
-    def optimize(self, program, warm_start=None):
+    def optimize(self, program):
         """Solve a prepared program (the 'BIP solving' stage).
 
         The space limit is read from ``program.problem.space_limit`` at
-        solve time.  ``warm_start`` may be a previous
-        :class:`~repro.optimizer.results.SchemaRecommendation` (or any
-        iterable of indexes / index keys); its cost becomes an
-        incumbent upper bound on the first solve.
+        solve time.
         """
         return program.optimize(self.minimize_schema_size,
                                 mip_rel_gap=self.mip_rel_gap,
-                                time_limit=self.time_limit,
-                                warm_start=warm_start)
+                                time_limit=self.time_limit)
 
-    def solve(self, problem, warm_start=None):
+    def solve(self, problem):
         """Construct and solve in one call."""
-        return self.optimize(self.prepare(problem),
-                             warm_start=warm_start)
+        return self.optimize(self.prepare(problem))

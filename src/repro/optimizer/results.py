@@ -40,10 +40,6 @@ class SchemaRecommendation:
     def weight(self, statement):
         return self.weights.get(statement.label, 0.0)
 
-    def query_cost(self, query):
-        """Unweighted cost of the chosen plan for one query."""
-        return self.query_plans[query].cost
-
     def update_cost(self, update):
         """Unweighted maintenance cost of one update across the schema."""
         total = 0.0

@@ -162,9 +162,11 @@ class RubisParameterGenerator:
 
     def _any_id(self, entity_name):
         rows = self.dataset.rows[entity_name]
-        keys = self._key_cache.get(entity_name)
-        if keys is None or len(keys) > len(rows):
-            keys = self._key_cache[entity_name] = list(rows)
+        deletions = self.dataset.deletions[entity_name]
+        seen, keys = self._key_cache.get(entity_name, (None, None))
+        if seen != deletions:
+            keys = list(rows)
+            self._key_cache[entity_name] = (deletions, keys)
         elif len(keys) < len(rows):
             # inserts append: the new keys are the last in insertion order
             grown = list(islice(reversed(rows), len(rows) - len(keys)))

@@ -18,8 +18,9 @@ All three strategies are scored by one evaluator: each window is an
 statements, priced by :meth:`~repro.optimizer.OptimizationProblem.price`,
 plus migrations priced by the
 :class:`~repro.tools.migration.MigrationCostModel`.  Their totals are
-therefore directly comparable, and the windowed result is never worse
-than either baseline beyond solver tolerance.
+therefore directly comparable, and the cheapest of the three scored
+schedules is returned, so the result is never worse than either
+baseline.
 """
 
 from __future__ import annotations
@@ -236,9 +237,9 @@ def recommend_windows(advisor, workload, schedule, initial=None,
 
     Returns a :class:`WindowedRecommendation` whose ``baselines`` carry
     the static single-schema and naive per-window strategies evaluated
-    by the same scorer; the windowed total never exceeds either beyond
-    solver tolerance, since both are feasible points of the windowed
-    program.
+    by the same scorer.  The windowed schedule is returned unless a
+    baseline scores cheaper — the solver stops within ``mip_rel_gap``
+    of its optimum — so the total never exceeds either baseline.
     """
     if not isinstance(schedule, WindowSchedule):
         schedule = WindowSchedule(schedule)
@@ -280,23 +281,24 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     static_rec = advisor.recommend_prepared(prepared, weights=aggregate,
                                             space_limit=space_limit)
     static_keys = {index.key for index in static_rec.indexes}
-    static_windows, static_serving, static_migration = \
-        _evaluate_schedule(window_problems, schedule,
-                           [static_keys] * len(schedule),
-                           index_by_key, migration_model, initial)
+    static = _evaluate_schedule(window_problems, schedule,
+                                [static_keys] * len(schedule),
+                                index_by_key, migration_model, initial)
     timing["static"] = time.perf_counter() - started
 
-    # -- naive baseline: re-advise each window, price migrations after
+    # -- naive baseline: re-advise each window, price migrations after;
+    # windows with the same weights share one solve
     started = time.perf_counter()
+    solved = {}
     naive_keys = []
-    previous = initial if initial else None
-    for problem in window_problems:
-        window_rec = advisor.optimizer.solve(problem, warm_start=previous)
-        naive_keys.append({index.key for index in window_rec.indexes})
-        previous = window_rec
-    naive_windows, naive_serving, naive_migration = \
-        _evaluate_schedule(window_problems, schedule, naive_keys,
-                           index_by_key, migration_model, initial)
+    for problem, weights in zip(window_problems, window_weights):
+        row = tuple(weights.items())
+        if row not in solved:
+            window_rec = advisor.optimizer.solve(problem)
+            solved[row] = {index.key for index in window_rec.indexes}
+        naive_keys.append(solved[row])
+    naive = _evaluate_schedule(window_problems, schedule, naive_keys,
+                               index_by_key, migration_model, initial)
     timing["naive"] = time.perf_counter() - started
 
     # -- the windowed program: schemas and migrations co-optimized
@@ -305,28 +307,25 @@ def recommend_windows(advisor, workload, schedule, initial=None,
                               union_problem.indexes, migration_model,
                               initial=(index.key for index in initial),
                               space_limit=space_limit)
-    incumbent = min(static_serving + static_migration,
-                    naive_serving + naive_migration)
     key_sets = program.solve(mip_rel_gap=mip_rel_gap,
-                             time_limit=time_limit,
-                             incumbent=incumbent)
+                             time_limit=time_limit)
     # trim cost-tie selections nothing reads, then re-score: the final
     # totals come from the shared evaluator, not the solver objective
     used_sets = [_price(problem, keys, window.label).used_keys
                  for window, problem, keys
                  in zip(schedule, window_problems, key_sets)]
     trimmed = _trim_schedule(key_sets, used_sets)
-    windows, _serving, _migration = _evaluate_schedule(
-        window_problems, schedule, trimmed, index_by_key,
-        migration_model, initial)
+    windowed = _evaluate_schedule(window_problems, schedule, trimmed,
+                                  index_by_key, migration_model, initial)
     timing["windowed_solve"] = time.perf_counter() - started
 
-    baselines = {
-        "static": _baseline_entry(static_windows, static_serving,
-                                  static_migration),
-        "naive_per_window": _baseline_entry(naive_windows, naive_serving,
-                                            naive_migration),
-    }
+    baselines = {"static": _baseline_entry(*static),
+                 "naive_per_window": _baseline_entry(*naive)}
+    # both baselines are feasible schedules of the windowed program,
+    # but the solver stops within mip_rel_gap of its optimum: return
+    # the cheapest of the three, the windowed schedule on a tie
+    windows = min((windowed, static, naive),
+                  key=lambda scored: scored[1] + scored[2])[0]
     timing["cost_calculation"] = stage_timing.cost_calculation
     timing["pruning"] = stage_timing.pruning
     return WindowedRecommendation(schedule, windows, initial,

@@ -123,22 +123,9 @@ class WindowedProgram(SelectionProgram):
 
     # -- solving ----------------------------------------------------------
 
-    def solve(self, mip_rel_gap=1e-4, time_limit=120.0, incumbent=None):
-        """Solve for the cheapest schedule; returns per-window key sets.
-
-        ``incumbent`` optionally passes a known feasible schedule cost
-        (e.g. the better of the static and naive baselines) as an upper
-        bound — every baseline schedule is a feasible point of this
-        program with the same objective value, so the bound never cuts
-        off an optimum.  scipy's milp has no MIP-start, so this
-        incumbent-bound cut is how the known schedule seeds the solve.
-        """
-        if incumbent is None:
-            constraint = self._matrix()
-        else:
-            constraint = self._matrix(
-                incumbent + 1e-7 * (1.0 + abs(incumbent)))
-        result = self._solve(self.costs, [constraint],
+    def solve(self, mip_rel_gap=1e-4, time_limit=120.0):
+        """Solve for the cheapest schedule; returns per-window key sets."""
+        result = self._solve(self.costs, [self._matrix()],
                              {"mip_rel_gap": mip_rel_gap,
                               "time_limit": time_limit})
         self.objective_value = float(

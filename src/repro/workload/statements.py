@@ -448,11 +448,6 @@ class _ModifyingStatement(Statement):
 
     is_support = False
 
-    @property
-    def modified_entity(self):
-        """The entity whose rows (or connections) this statement changes."""
-        return self.entity
-
 
 class Insert(_ModifyingStatement):
     """``INSERT INTO Entity SET f = ?, ... [AND CONNECT TO rel(?), ...]``.
@@ -490,10 +485,6 @@ class Insert(_ModifyingStatement):
     @property
     def set_fields(self):
         return tuple(self.settings)
-
-    @property
-    def connected_keys(self):
-        return tuple(key for key, _ in self.connections)
 
     def unparse(self):
         assignments = ", ".join(

@@ -105,3 +105,23 @@ def test_id_draws_follow_inserts_and_deletes(model):
         keys = list(rows)
         expected = keys[reference.randrange(len(keys))]
         assert generator._any_id("Bid") == expected
+
+
+def test_id_draws_follow_a_delete_plus_an_insert(model):
+    """A delete and an insert between two draws leave the row count
+    unchanged; the draws must still see the deleted key gone and the
+    inserted one present."""
+    dataset = generate_dataset(model, seed=7)
+    generator = RubisParameterGenerator(dataset, seed=23)
+    reference = random.Random(23)
+    rows = dataset.rows["Bid"]
+    next_bid = max(rows) + 1
+    for step in range(40):
+        if step % 5 == 4:
+            dataset.delete_entity("Bid", next(iter(rows)))
+            dataset.add_row("Bid", {"BidID": next_bid, "BidQty": 1,
+                                    "BidAmount": 1.0, "BidDate": 0})
+            next_bid += 1
+        keys = list(rows)
+        expected = keys[reference.randrange(len(keys))]
+        assert generator._any_id("Bid") == expected

@@ -154,35 +154,6 @@ def test_delta_counters_and_timing_report():
         == len(edited.queries) + len(edited.updates)
 
 
-# -- warm-started solves ----------------------------------------------------
-
-
-def test_warm_start_reaches_the_same_cost():
-    model = hotel_model()
-    workload = hotel_workload(model, include_updates=True)
-    advisor = Advisor(model)
-    first = advisor.recommend(workload)
-    heavier = workload.scale_weights(4)
-    with telemetry.activate() as sink:
-        warm = advisor.recommend(heavier, warm_start=first)
-        report = sink.report()
-    cold = Advisor(model).recommend(heavier)
-    assert warm.total_cost == pytest.approx(cold.total_cost)
-    counters = report.as_dict()["metrics"]["counters"]
-    assert counters.get("bip.warm_starts_applied", 0) == 1
-
-
-def test_infeasible_warm_start_is_ignored():
-    model = hotel_model()
-    workload = hotel_workload(model, include_updates=True)
-    advisor = Advisor(model)
-    baseline = Advisor(model).recommend(workload)
-    # an empty schema can answer no query: the incumbent is infeasible
-    # and the solve must fall back to the unbounded path
-    warm = advisor.recommend(workload, warm_start=[])
-    assert warm.total_cost == pytest.approx(baseline.total_cost)
-
-
 # -- the artifact store itself ----------------------------------------------
 
 

@@ -13,6 +13,7 @@ from repro.windows import (
     recommend_windows,
     replan_from_monitor,
 )
+from repro.windows.bip import WindowedProgram
 
 TOLERANCE = 1e-6
 
@@ -46,6 +47,42 @@ def test_windowed_never_worse_than_either_baseline(phased):
         assert result.window.label == window.label
         assert result.serving_cost > 0
         assert result.indexes
+
+
+def test_a_cheaper_baseline_replaces_a_worse_windowed_schedule(
+        phased, monkeypatch):
+    model, workload, schedule = phased
+
+    def every_candidate(program, **_options):
+        keys = {index.key for index in program.indexes}
+        return [set(keys) for _ in range(program.windows)]
+
+    monkeypatch.setattr(WindowedProgram, "solve", every_candidate)
+    recommendation = recommend_windows(Advisor(model), workload,
+                                       schedule)
+    cheaper = min(recommendation.baselines.values(),
+                  key=lambda entry: entry["total"])
+    assert recommendation.total_cost == cheaper["total"]
+    assert [result.keys for result in recommendation.windows] \
+        == [result.keys for result in cheaper["windows"]]
+
+
+def test_naive_baseline_solves_each_distinct_window_once(phased):
+    model, workload, schedule = phased
+    advisor = Advisor(model)
+    solve = advisor.optimizer.solve
+    solved = []
+
+    def counting(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    advisor.optimizer.solve = counting
+    recommendation = recommend_windows(advisor, workload, schedule)
+    # the first and last windows share a mix and a request volume
+    assert len(schedule) == 3 and len(solved) == 2
+    naive = recommendation.baselines["naive_per_window"]["windows"]
+    assert naive[0].keys == naive[2].keys
 
 
 def test_huge_migration_cost_holds_one_schema(phased):
