@@ -20,6 +20,7 @@ the acceptance criterion CI's artifact diffing relies on.  Writes
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import time
 
@@ -84,6 +85,7 @@ def test_windowed_schedule_beats_static_and_naive(tmp_path):
         "savings_vs_static_pct": 100.0 * (static - windowed) / static,
         "savings_vs_naive_pct": 100.0 * (naive - windowed) / naive,
         "byte_stable_across_runs": byte_stable,
+        "cpu_count": os.cpu_count(),
         "wall_seconds": {"first": seconds, "second": again_seconds},
     }
     # baseline window entries hold WindowResult objects; keep the keys
