@@ -5,12 +5,13 @@ The advisor's plan-space pruning applies two rules per statement
 distinct column-family set (:func:`dedupe_cheapest`), then drop any
 plan whose column-family set is a proper superset of a cheaper kept
 plan's (:func:`superset_filter`).  The superset rule is one pure-Python
-scan: each plan, in ascending (cost, signature) order, is tested with
-``frozenset`` proper-subset checks against the plans kept so far, and
-each dropped plan's ledger entry names the first kept dominator.
-Testing kept plans only is enough: by transitivity, a dropped plan's
-kept dominator is a proper subset of every set that contains the
-dropped plan's.
+pass: each plan, in ascending (cost, signature) order, looks its proper
+subsets up among the key sets of the plans kept so far, and each
+dropped plan's ledger entry names the first kept dominator.  Plans
+touch a handful of column families, so the lookups stay few however
+many plans a space keeps.  Testing kept plans only is enough: by
+transitivity, a dropped plan's kept dominator is a proper subset of
+every set that contains the dropped plan's.
 
 The module also hosts the vectorized maintenance-plan reachability
 closure (:func:`reachable_update_plans`): one boolean support-matrix
@@ -102,20 +103,40 @@ def superset_filter(plans, removals=None):
     plan, attributed to its first kept dominator.
     """
     kept = []
-    kept_keys = []
+    #: each kept plan's key set, as a bit mask, -> its position in kept
+    position_of = {}
+    bit_of = {}
     for plan in plans:
         keys = plan_keys(plan)
-        dominator = next((position
-                          for position, existing in enumerate(kept_keys)
-                          if existing < keys), None)
+        mask = 0
+        for key in keys:
+            bit = bit_of.get(key)
+            if bit is None:
+                bit = bit_of[key] = 1 << len(bit_of)
+            mask |= bit
+        if (1 << len(keys)) - 1 < len(kept):
+            # fewer proper subsets than kept sets: look each one up,
+            # walking the sub-masks of ``mask`` down to the empty set
+            found = []
+            subset = mask
+            while subset:
+                subset = (subset - 1) & mask
+                if subset in position_of:
+                    found.append(position_of[subset])
+            dominator = min(found, default=None)
+        else:
+            dominator = next((position
+                              for existing, position in position_of.items()
+                              if existing & mask == existing
+                              and existing != mask), None)
         if dominator is not None:
             if removals is not None:
                 removals.append(prune_entry(
                     plan, "superset-cfset",
                     dominated_by=kept[dominator]))
             continue
+        position_of[mask] = len(kept)
         kept.append(plan)
-        kept_keys.append(keys)
     return kept
 
 

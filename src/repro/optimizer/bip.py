@@ -11,22 +11,70 @@ planned iff their column family is selected (an equality constraint on
 the plan variables).  After minimising cost, a second solve finds the
 smallest schema achieving that optimum, as §V describes.
 
-Solved with scipy's HiGHS MILP backend (substituting for Gurobi, which
-is unavailable offline); the formulation is identical.
+Solved with HiGHS through the bindings scipy bundles (substituting for
+Gurobi, which is unavailable offline); the formulation is identical.
+Like Gurobi, HiGHS takes a MIP start, which a re-solve of one program
+gets from its previous solve (:meth:`_Program.optimize`).
 """
 
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
 from repro import telemetry
 from repro.exceptions import OptimizationError
 from repro.explain import solver_ledger
 from repro.optimizer.results import SchemaRecommendation
+
+try:
+    from scipy.optimize._highspy._core import (
+        HighsModelStatus,
+        _Highs,
+        kSolutionStatusFeasible,
+    )
+    _Highs.setSolution  # older bindings take no MIP start
+except (ImportError, AttributeError) as error:  # pragma: no cover
+    raise ImportError(
+        "repro needs scipy>=1.17, whose bundled HiGHS bindings "
+        "(scipy.optimize._highspy) take a MIP start") from error
+
+
+class HighsOutcome(NamedTuple):
+    """What one HiGHS solve reports back."""
+
+    status: HighsModelStatus
+    #: the primal solution, None when HiGHS holds no feasible one
+    x: np.ndarray | None
+    mip_gap: float
+    dual_bound: float
+
+
+def run_highs(model, options, start=None):
+    """Solve ``model`` (:meth:`~_Highs.passModel`'s argument tuple) on
+    a fresh HiGHS handle, from the MIP start ``start`` if given.
+
+    HiGHS checks the start and ignores it if infeasible.  ``options``
+    are HiGHS options, all doubles; the log stays off the console.
+    """
+    highs = _Highs()
+    highs.setOptionValue("log_to_console", False)
+    for name, value in options.items():
+        highs.setOptionValue(name, float(value))
+    highs.passModel(*model)
+    if start is not None:
+        highs.setSolution(len(start), np.arange(len(start), dtype=np.int32),
+                          np.asarray(start, dtype=float))
+    highs.run()
+    info = highs.getInfo()
+    x = None
+    if info.primal_solution_status == kSolutionStatusFeasible:
+        x = np.asarray(highs.getSolution().col_value)
+    return HighsOutcome(highs.getModelStatus(), x, info.mip_gap,
+                        info.mip_dual_bound)
 
 
 class SelectionProgram:
@@ -54,11 +102,12 @@ class SelectionProgram:
         self._entries = []  # (row, column, value)
         self._lower = []
         self._upper = []
-        #: lazily materialized solver inputs, reused across solves
-        self._base_constraint = None
+        #: lazily materialized solver inputs, reused across solves: the
+        #: entries as arrays, the base rows as CSC arrays with their
+        #: bounds, and the integrality vector
         self._entry_arrays = None
+        self._csc = None
         self._integrality = None
-        self._unit_bounds = None
 
     def _add_row(self, lower, upper, terms=()):
         """Append ``lower <= row <= upper``, starting with ``terms``
@@ -136,9 +185,12 @@ class SelectionProgram:
         return []
 
     def _matrix(self, cost_cap=None):
-        """The constraint matrix: the base rows, the per-solve rows of
-        :meth:`_solve_rows`, then — given ``cost_cap`` — the cost cut
-        ``cost @ x <= cost_cap`` as the last row."""
+        """The constraint matrix as CSC arrays with its row bounds,
+        ``(start, index, value, lower, upper)``: the base rows, the
+        per-solve rows of :meth:`_solve_rows`, then — given
+        ``cost_cap`` — the cost cut ``cost @ x <= cost_cap`` as the
+        last row.  The arrays are the ones ``scipy.optimize.milp``
+        built from the same rows."""
         if self._entry_arrays is None:
             self._entry_arrays = (
                 np.asarray([e[0] for e in self._entries]),
@@ -152,29 +204,31 @@ class SelectionProgram:
                           [(column, value)
                            for column, value in enumerate(self.costs)
                            if value != 0.0]))
-        if not extra:
-            if self._base_constraint is None:
-                matrix = csr_matrix(
-                    (values, (rows, columns)),
-                    shape=(len(self._lower), self.columns))
-                self._base_constraint = LinearConstraint(
-                    matrix, np.asarray(self._lower, dtype=float),
-                    np.asarray(self._upper, dtype=float))
-            return self._base_constraint
-        entries = [(len(self._lower) + offset, column, value)
-                   for offset, (_lower, _upper, terms) in enumerate(extra)
-                   for column, value in terms]
-        rows = np.concatenate([rows, [e[0] for e in entries]])
-        columns = np.concatenate([columns, [e[1] for e in entries]])
-        values = np.concatenate([values, [e[2] for e in entries]])
-        lower = list(self._lower) + [row[0] for row in extra]
-        upper = list(self._upper) + [row[1] for row in extra]
+        if not extra and self._csc is not None:
+            return self._csc
+        if extra:
+            entries = [(len(self._lower) + offset, column, value)
+                       for offset, (_lower, _upper, terms)
+                       in enumerate(extra)
+                       for column, value in terms]
+            rows = np.concatenate([rows, [e[0] for e in entries]])
+            columns = np.concatenate([columns, [e[1] for e in entries]])
+            values = np.concatenate([values, [e[2] for e in entries]])
+        lower = self._lower + [row[0] for row in extra]
+        upper = self._upper + [row[1] for row in extra]
         matrix = csr_matrix((values, (rows, columns)),
-                            shape=(len(lower), self.columns))
-        return LinearConstraint(matrix, np.asarray(lower),
-                                np.asarray(upper))
+                            shape=(len(lower), self.columns)).tocsc()
+        csc = (matrix.indptr, matrix.indices, matrix.data,
+               np.asarray(lower, dtype=float),
+               np.asarray(upper, dtype=float))
+        if not extra:
+            self._csc = csc
+        return csc
 
-    def _solve(self, objective, constraints, options=None, bounds=None):
+    def _solve(self, objective, matrix, options, upper=None, start=None):
+        """Solve ``min objective @ x`` over ``matrix`` (:meth:`_matrix`)
+        with ``0 <= x <= upper`` (default 1), from the MIP start
+        ``start`` if given; returns the :class:`HighsOutcome`."""
         # Only the column-family selection variables need integrality:
         # for any 0/1 selection, every plan whose column families are
         # all selected is feasible on its own (the aggregated links
@@ -184,32 +238,36 @@ class SelectionProgram:
         # plan variables continuous cuts the binaries from thousands to
         # the number of candidates.
         if self._integrality is None:
-            self._integrality = np.zeros(self.columns)
+            self._integrality = np.zeros(self.columns, dtype=np.int32)
             self._integrality[:self.binaries] = 1
-        if bounds is None:
-            if self._unit_bounds is None:
-                self._unit_bounds = Bounds(0, 1)
-            bounds = self._unit_bounds
-        result = milp(
-            c=np.asarray(objective),
-            constraints=constraints,
-            integrality=self._integrality,
-            bounds=bounds,
-            options=options or {},
-        )
-        if result.status == 1 and result.x is not None:
+        a_start, a_index, a_value, row_lower, row_upper = matrix
+        # column-wise matrix (format 1), minimised (sense 1), no offset
+        model = (self.columns, len(row_lower), len(a_index), 1, 1, 0.0,
+                 np.asarray(objective, dtype=float), np.zeros(self.columns),
+                 np.ones(self.columns) if upper is None else upper,
+                 row_lower, row_upper, a_start, a_index, a_value,
+                 self._integrality)
+        result = run_highs(model, options, start)
+        active = telemetry.current()
+        if (result.status in (HighsModelStatus.kTimeLimit,
+                              HighsModelStatus.kIterationLimit)
+                and result.x is not None):
             # iteration or time limit: the incumbent is feasible but
             # possibly short of the requested gap — keep it, and say so
-            active = telemetry.current()
             if active.enabled:
                 active.count("bip.time_limited")
-        elif not result.success:
-            raise OptimizationError(self._failure(result))
+        elif result.status != HighsModelStatus.kOptimal:
+            raise OptimizationError(self._failure(result.status))
+        if active.enabled:
+            if start is not None:
+                active.count("bip.started")
+            active.gauge("bip.mip_gap", result.mip_gap)
+            active.gauge("bip.dual_bound", result.dual_bound)
         return result
 
-    def _failure(self, result):
-        """The error message for a failed solve."""
-        return f"BIP solve failed: {result.message}"
+    def _failure(self, status):
+        """The error message for a solve that ended in ``status``."""
+        return f"BIP solve failed: {_Highs().modelStatusToString(status)}"
 
 
 class _Program(SelectionProgram):
@@ -222,6 +280,10 @@ class _Program(SelectionProgram):
     therefore serves every solve over its plan spaces: :meth:`reweight`
     re-costs it in place, and the base constraint matrix, integrality
     vector and variable bounds are each materialized once and reused.
+    Since only costs and the space row change between solves, the last
+    phase-1 solution is a feasible MIP start for the next phase 1
+    (unless a tighter space limit cuts it off, when HiGHS ignores it).
+    Phase 2 is never seeded: a start from phase 1 slowed it.
     """
 
     def __init__(self, problem):
@@ -234,6 +296,8 @@ class _Program(SelectionProgram):
         #: advisor can attribute solving vs result extraction honestly
         self.solve_seconds = 0.0
         self.extract_seconds = 0.0
+        #: the last phase-1 solution, the next phase 1's MIP start
+        self._start = None
         self._add_block(problem.query_classes, problem.update_classes,
                         problem.class_weight, self.index_column)
         active = telemetry.current()
@@ -253,15 +317,15 @@ class _Program(SelectionProgram):
                  [(column, index.size)
                   for column, index in enumerate(self.indexes)])]
 
-    def _failure(self, result):
+    def _failure(self, status):
         limit = self.problem.space_limit
-        if result.status == 2 and limit is not None:
+        if status == HighsModelStatus.kInfeasible and limit is not None:
             # every query can always be answered by selecting every
             # candidate, so only the space row makes the program
             # infeasible
             return (f"no schema fits within space_limit={limit:g}: "
                     f"every schema answering the workload is larger")
-        return super()._failure(result)
+        return super()._failure(status)
 
     # -- re-costing -----------------------------------------------------------
 
@@ -346,7 +410,10 @@ class _Program(SelectionProgram):
         with active.span("bip_solving"):
             options = {"mip_rel_gap": mip_rel_gap,
                        "time_limit": time_limit}
-            result = self._solve(self.costs, [self._matrix()], options)
+            # a fresh program has no start: a cold solve is unseeded
+            result = self._solve(self.costs, self._matrix(), options,
+                                 start=self._start)
+            self._start = result.x
             best_cost = float(np.asarray(self.costs) @ result.x)
             if minimize_schema_size:
                 phase1_seconds = time.perf_counter() - solve_started
@@ -383,8 +450,8 @@ class _Program(SelectionProgram):
                 phase2_started = time.perf_counter()
                 try:
                     result = self._solve(
-                        objective, [self._matrix(best_cost + tolerance)],
-                        phase2_options, bounds=Bounds(0, upper))
+                        objective, self._matrix(best_cost + tolerance),
+                        phase2_options, upper=upper)
                 except OptimizationError:
                     # keep the phase-1 solution; _extract prunes it
                     if active.enabled:

@@ -125,7 +125,7 @@ class WindowedProgram(SelectionProgram):
 
     def solve(self, mip_rel_gap=1e-4, time_limit=120.0):
         """Solve for the cheapest schedule; returns per-window key sets."""
-        result = self._solve(self.costs, [self._matrix()],
+        result = self._solve(self.costs, self._matrix(),
                              {"mip_rel_gap": mip_rel_gap,
                               "time_limit": time_limit})
         self.objective_value = float(

@@ -6,7 +6,7 @@ objective and the solver's status handling are all checked against it.
 """
 
 import pytest
-from scipy.optimize import milp as real_milp
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import repro.optimizer.bip as bip_module
 from repro import Advisor
@@ -18,6 +18,8 @@ from repro.rubis import rubis_model, rubis_workload
 from repro.telemetry import activate
 from repro.tools import MigrationCostModel
 from repro.windows import WindowedProgram
+
+real_run = bip_module.run_highs
 
 # the demo and random workloads hit the planner's plan cap by design
 pytestmark = pytest.mark.filterwarnings(
@@ -108,12 +110,11 @@ def _hotel_problem():
 
 def test_time_limited_incumbent_is_counted(monkeypatch):
     def limited(*args, **kwargs):
-        result = real_milp(*args, **kwargs)
-        result.status, result.success = 1, False
-        return result
+        result = real_run(*args, **kwargs)
+        return result._replace(status=HighsModelStatus.kTimeLimit)
 
     problem = _hotel_problem()
-    monkeypatch.setattr(bip_module, "milp", limited)
+    monkeypatch.setattr(bip_module, "run_highs", limited)
     with activate() as sink:
         recommendation = BIPOptimizer().solve(problem)
         WindowedProgram(problem.query_plans, problem.update_plans,
@@ -130,14 +131,15 @@ def test_failed_phase2_keeps_phase1_solution(monkeypatch):
 
     def failing_second(*args, **kwargs):
         calls.append(1)
-        result = real_milp(*args, **kwargs)
+        result = real_run(*args, **kwargs)
         if len(calls) == 2:
-            result.status, result.success, result.x = 2, False, None
+            result = result._replace(status=HighsModelStatus.kInfeasible,
+                                     x=None)
         return result
 
     problem = _hotel_problem()
     expected = BIPOptimizer(minimize_schema_size=False).solve(problem)
-    monkeypatch.setattr(bip_module, "milp", failing_second)
+    monkeypatch.setattr(bip_module, "run_highs", failing_second)
     with activate() as sink:
         recommendation = BIPOptimizer().solve(problem)
     counters = sink.report().metrics["counters"]
@@ -149,11 +151,10 @@ def test_failed_phase2_keeps_phase1_solution(monkeypatch):
 
 def test_failed_solve_raises(monkeypatch):
     def failing(*args, **kwargs):
-        result = real_milp(*args, **kwargs)
-        result.status, result.success, result.x = 2, False, None
-        return result
+        result = real_run(*args, **kwargs)
+        return result._replace(status=HighsModelStatus.kInfeasible, x=None)
 
     problem = _hotel_problem()
-    monkeypatch.setattr(bip_module, "milp", failing)
+    monkeypatch.setattr(bip_module, "run_highs", failing)
     with pytest.raises(OptimizationError, match="BIP solve failed"):
         BIPOptimizer().solve(problem)
