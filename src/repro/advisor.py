@@ -206,7 +206,9 @@ class PreparedWorkload:
     — costed and pruned plan spaces, and one constructed program — as
     :meth:`Advisor.recommend_prepared` produces them, so repeated solves
     over the same structure, under any weights and space limit, redo
-    only the cost vector and the solve itself.
+    only the cost vector and the solve itself.  The windowed advisor
+    (:func:`~repro.windows.recommend_windows`) keeps its programs here
+    too.
     """
 
     def __init__(self, key, workload, candidates, query_plans,
@@ -248,6 +250,9 @@ class PreparedWorkload:
         #: {statement label: pruning record} — filled during pruning
         self._prune_ledger = {}
         self._program = None
+        #: the programs the last recommend_windows call over this
+        #: workload solved, keyed by what fixes their rows
+        self._window_programs = {}
 
     def consume_fresh(self):
         """True on the first call after actual enumeration/planning —
@@ -284,6 +289,29 @@ def _support_records(records, update_plan, update):
         support_queries(update, update_plan.index))}
     return {labels[label]: _relabeled(record, labels[label])
             for label, record in records.items()}
+
+
+def construct_program(program, build, reweight):
+    """``program`` re-costed by ``reweight(program)``, or ``build()``'s
+    new program when it is None.
+
+    Timed in a ``bip_construction`` span whose ``mode`` attribute says
+    which, and counted by ``bip.programs_built`` or
+    ``bip.programs_reweighted``.
+    """
+    active = telemetry.current()
+    with active.span("bip_construction") as span:
+        if program is None:
+            program = build()
+            active.count("bip.programs_built")
+            mode = "build"
+        else:
+            reweight(program)
+            active.count("bip.programs_reweighted")
+            mode = "reweight"
+        if span is not None:
+            span.set(mode=mode)
+    return program
 
 
 def _nothing_to_optimize(workload):
@@ -656,6 +684,7 @@ class Advisor:
             prepared._pruned_query_plans = None
             prepared._pruned_update_plans = None
             prepared._program = None
+            prepared._window_programs = {}
             prepared._cost_seconds = time.perf_counter() - stage
             hits, misses, _ = self.cost_model.cache_info()
             prepared._cost_cache_hits = hits - hits_before
@@ -720,24 +749,14 @@ class Advisor:
     def _optimize_prepared(self, prepared, weights, space_limit, timing):
         active = telemetry.current()
         stage = time.perf_counter()
-        with active.span("bip_construction") as span:
-            program = prepared._program
-            if program is None:
-                problem = OptimizationProblem(prepared._pruned_query_plans,
-                                              prepared._pruned_update_plans,
-                                              weights)
-                program = prepared._program = self.optimizer.prepare(
-                    problem)
-                active.count("bip.programs_built")
-                mode = "build"
-            else:
-                self.optimizer.reweight(program, weights)
-                active.count("bip.programs_reweighted")
-                mode = "reweight"
-            # the space limit is a solve input, like the weights
-            program.problem.space_limit = space_limit
-            if span is not None:
-                span.set(mode=mode)
+        program = prepared._program = construct_program(
+            prepared._program,
+            lambda: self.optimizer.prepare(OptimizationProblem(
+                prepared._pruned_query_plans,
+                prepared._pruned_update_plans, weights)),
+            lambda program: self.optimizer.reweight(program, weights))
+        # the space limit is a solve input, like the weights
+        program.problem.space_limit = space_limit
         # statements of one form are one class: one block, one plan
         active.gauge("advisor.statement_classes",
                      len(program.problem.classes))

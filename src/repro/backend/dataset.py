@@ -30,41 +30,67 @@ class Dataset:
         for entity in model.entities.values():
             for key in entity.foreign_keys:
                 self.links[key.id] = {}
+        #: names resolved by add_row and connect, keyed by the names
+        #: as passed: entity name -> (entity, primary-key field id,
+        #: {attribute name: field id}), and (entity name, relationship)
+        #: -> (forward links, reverse links or None)
+        self._attributes = {}
+        self._link_dicts = {}
 
     # -- population ------------------------------------------------------------
 
     def add_row(self, entity_name, values):
         """Insert one entity row; ``values`` maps field names (or ids) to
         values and must include the primary key."""
-        entity = self.model.entity(entity_name)
+        resolved = self._attributes.get(entity_name)
+        if resolved is None:
+            entity = self.model.entity(entity_name)
+            id_field = entity.id_field
+            if id_field is None:
+                raise ModelError(
+                    f"row for {entity.name!r} is missing its primary key")
+            resolved = self._attributes[entity_name] = (entity, id_field.id,
+                                                        {})
+        entity, id_field_id, field_ids = resolved
         row = {}
         for name, value in values.items():
-            field = entity.fields.get(name.split(".")[-1])
-            if field is None or isinstance(field, ForeignKeyField):
-                raise ModelError(
-                    f"entity {entity.name!r} has no attribute {name!r}")
-            row[field.id] = value
-        id_field = entity.id_field
-        if id_field.id not in row:
+            field_id = field_ids.get(name)
+            if field_id is None:
+                field = entity.fields.get(name.split(".")[-1])
+                if field is None or isinstance(field, ForeignKeyField):
+                    raise ModelError(
+                        f"entity {entity.name!r} has no attribute {name!r}")
+                field_id = field_ids[name] = field.id
+            row[field_id] = value
+        if id_field_id not in row:
             raise ModelError(
                 f"row for {entity.name!r} is missing its primary key")
-        self.rows[entity.name][row[id_field.id]] = row
+        self.rows[entity.name][row[id_field_id]] = row
         return row
 
     def connect(self, entity_name, source_id, relationship, target_id):
         """Create a relationship instance (both directions)."""
-        key = self._relationship(entity_name, relationship)
-        self.links[key.id].setdefault(source_id, set()).add(target_id)
-        if key.reverse is not None:
-            self.links[key.reverse.id].setdefault(
-                target_id, set()).add(source_id)
+        forward, backward = self._links_of(entity_name, relationship)
+        forward.setdefault(source_id, set()).add(target_id)
+        if backward is not None:
+            backward.setdefault(target_id, set()).add(source_id)
+
+    def _links_of(self, entity_name, relationship):
+        """The link dicts of both directions of ``relationship``."""
+        resolved = self._link_dicts.get((entity_name, relationship))
+        if resolved is None:
+            key = self._relationship(entity_name, relationship)
+            resolved = (self.links[key.id],
+                        None if key.reverse is None
+                        else self.links[key.reverse.id])
+            self._link_dicts[entity_name, relationship] = resolved
+        return resolved
 
     def disconnect(self, entity_name, source_id, relationship, target_id):
-        key = self._relationship(entity_name, relationship)
-        self.links[key.id].get(source_id, set()).discard(target_id)
-        if key.reverse is not None:
-            self.links[key.reverse.id].get(target_id, set()).discard(
-                source_id)
+        forward, backward = self._links_of(entity_name, relationship)
+        forward.get(source_id, set()).discard(target_id)
+        if backward is not None:
+            backward.get(target_id, set()).discard(source_id)
 
     def delete_entity(self, entity_name, entity_id):
         """Remove a row and every relationship instance touching it."""
@@ -226,8 +252,13 @@ class Dataset:
 
     # -- mutation by statements ----------------------------------------------------
 
-    def apply(self, statement, params):
-        """Apply a write statement; returns the affected target IDs."""
+    def apply(self, statement, params, matching=None):
+        """Apply a write statement; returns the affected target IDs.
+
+        ``matching`` may pass an UPDATE's or DELETE's
+        :meth:`matching_ids` when the caller already holds them; other
+        statements ignore it.
+        """
         from repro.workload.statements import (
             Connect,
             Delete,
@@ -237,9 +268,9 @@ class Dataset:
         if isinstance(statement, Insert):
             return self._apply_insert(statement, params)
         if isinstance(statement, Update):
-            return self._apply_update(statement, params)
+            return self._apply_update(statement, params, matching)
         if isinstance(statement, Delete):
-            return self._apply_delete(statement, params)
+            return self._apply_delete(statement, params, matching)
         if isinstance(statement, Connect):
             return self._apply_connect(statement, params)
         raise ExecutionError(f"not a write statement: {statement!r}")
@@ -254,16 +285,20 @@ class Dataset:
             self.connect(entity.name, new_id, key, params[parameter])
         return [new_id]
 
-    def _apply_update(self, update, params):
-        affected = self.matching_ids(update, params)
+    def _apply_update(self, update, params, matching):
+        affected = matching
+        if affected is None:
+            affected = self.matching_ids(update, params)
         for entity_id in affected:
             row = self.rows[update.entity.name][entity_id]
             for field, parameter in update.settings.items():
                 row[field.id] = params[parameter]
         return affected
 
-    def _apply_delete(self, delete, params):
-        affected = self.matching_ids(delete, params)
+    def _apply_delete(self, delete, params, matching):
+        affected = matching
+        if affected is None:
+            affected = self.matching_ids(delete, params)
         for entity_id in affected:
             self.delete_entity(delete.entity.name, entity_id)
         return affected

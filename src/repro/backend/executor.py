@@ -453,15 +453,15 @@ class ExecutionEngine:
         for update_plan in plans:
             before[update_plan.index.key] = materialize_rows(
                 self.dataset, update_plan.index, anchor_entity, anchor_ids)
-        affected = self.dataset.apply(update, params)
-        if anchor_ids is None:
-            anchor_ids = affected
+        # the anchor IDs are the IDs the statement affects: an UPDATE's
+        # or DELETE's matches, computed once
+        self.dataset.apply(update, params, matching=anchor_ids)
         changed = 0
         for update_plan in plans:
             index = update_plan.index
             column_family = self.store[index.key]
             after = materialize_rows(self.dataset, index, anchor_entity,
-                                     anchor_ids or affected)
+                                     anchor_ids)
             old_rows = {column_family.row_key(row): row
                         for row in before[index.key]}
             new_rows = {column_family.row_key(row): row for row in after}

@@ -14,7 +14,7 @@ smallest schema achieving that optimum, as §V describes.
 Solved with HiGHS through the bindings scipy bundles (substituting for
 Gurobi, which is unavailable offline); the formulation is identical.
 Like Gurobi, HiGHS takes a MIP start, which a re-solve of one program
-gets from its previous solve (:meth:`_Program.optimize`).
+gets from its previous solve (:meth:`SelectionProgram._solve`).
 """
 
 from __future__ import annotations
@@ -86,6 +86,11 @@ class SelectionProgram:
     problem, :class:`~repro.windows.bip.WindowedProgram` one per window.
     Rows and columns are emitted in a fixed order, since HiGHS resolves
     cost ties by it.
+
+    Weights enter through the cost vector alone, so a program is
+    re-costed in place (:meth:`_recost`) and re-solved from its last
+    solution (:meth:`_solve` with ``seeded``): a fresh program has no
+    start, so its first solve is unseeded.
     """
 
     def __init__(self, columns, binaries):
@@ -96,9 +101,11 @@ class SelectionProgram:
         self.plan_columns = []
         #: (update_plan, support query, plan, column)
         self.support_columns = []
-        #: (column, statement, unweighted cost) per cost charge, in
-        #: the order :meth:`_add_block` charged them
+        #: one list per block of (column, statement, unweighted cost)
+        #: per cost charge, in the order :meth:`_add_block` charged them
         self._charges = []
+        #: the last seeded solve's solution, the next one's MIP start
+        self._start = None
         self._entries = []  # (row, column, value)
         self._lower = []
         self._upper = []
@@ -135,13 +142,15 @@ class SelectionProgram:
         is selected.  ``weight_of`` maps a statement to its weight and
         ``selection`` a column-family key to its selection column.
         """
+        charges = []
+        self._charges.append(charges)
         for query, plans in query_plans.items():
             weight = weight_of(query)
             choose_one = self._add_row(1.0, 1.0)
             links = {}
             for plan in plans:
                 column = self._new_column(weight * plan.cost)
-                self._charges.append((column, query, plan.cost))
+                charges.append((column, query, plan.cost))
                 self.plan_columns.append((query, plan, column))
                 self._entries.append((choose_one, column, 1.0))
                 self._link_plan(column, plan, links, selection)
@@ -150,19 +159,31 @@ class SelectionProgram:
             for update_plan in plans_by_index:
                 selected = selection[update_plan.index.key]
                 self.costs[selected] += weight * update_plan.update_cost
-                self._charges.append((selected, update,
-                                      update_plan.update_cost))
+                charges.append((selected, update, update_plan.update_cost))
                 grouped = update_plan.support_plans_by_query
                 for support, plans in grouped.items():
                     gate = self._add_row(0.0, 0.0, [(selected, -1.0)])
                     links = {}
                     for plan in plans:
                         column = self._new_column(weight * plan.cost)
-                        self._charges.append((column, update, plan.cost))
+                        charges.append((column, update, plan.cost))
                         self.support_columns.append(
                             (update_plan, support, plan, column))
                         self._entries.append((gate, column, 1.0))
                         self._link_plan(column, plan, links, selection)
+
+    def _recost(self, costs, block_weights):
+        """Replay the recorded charges onto ``costs`` and install them.
+
+        ``block_weights`` holds one ``{statement: weight}`` per block.
+        Charges are replayed in :meth:`_add_block`'s order onto a vector
+        holding what the build set outside the blocks, so the result
+        equals a fresh build's bit for bit.
+        """
+        for weights, charges in zip(block_weights, self._charges):
+            for column, statement, cost in charges:
+                costs[column] += weights[statement] * cost
+        self.costs = costs
 
     def _link_plan(self, column, plan, links, selection):
         """Plan usable only when every column family it touches exists.
@@ -225,10 +246,18 @@ class SelectionProgram:
             self._csc = csc
         return csc
 
-    def _solve(self, objective, matrix, options, upper=None, start=None):
+    def _solve(self, objective, matrix, options, upper=None,
+               seeded=False):
         """Solve ``min objective @ x`` over ``matrix`` (:meth:`_matrix`)
-        with ``0 <= x <= upper`` (default 1), from the MIP start
-        ``start`` if given; returns the :class:`HighsOutcome`."""
+        with ``0 <= x <= upper`` (default 1); returns the
+        :class:`HighsOutcome`.
+
+        A ``seeded`` solve starts from the last seeded solve's solution
+        and keeps its own as the next one's start.  Between solves of
+        one program only the costs and per-solve rows change, so the
+        start is feasible unless a tighter space limit cuts it off, and
+        HiGHS then ignores it.
+        """
         # Only the column-family selection variables need integrality:
         # for any 0/1 selection, every plan whose column families are
         # all selected is feasible on its own (the aggregated links
@@ -247,6 +276,7 @@ class SelectionProgram:
                  np.ones(self.columns) if upper is None else upper,
                  row_lower, row_upper, a_start, a_index, a_value,
                  self._integrality)
+        start = self._start if seeded else None
         result = run_highs(model, options, start)
         active = telemetry.current()
         if (result.status in (HighsModelStatus.kTimeLimit,
@@ -263,6 +293,8 @@ class SelectionProgram:
                 active.count("bip.started")
             active.gauge("bip.mip_gap", result.mip_gap)
             active.gauge("bip.dual_bound", result.dual_bound)
+        if seeded:
+            self._start = result.x
         return result
 
     def _failure(self, status):
@@ -280,10 +312,8 @@ class _Program(SelectionProgram):
     therefore serves every solve over its plan spaces: :meth:`reweight`
     re-costs it in place, and the base constraint matrix, integrality
     vector and variable bounds are each materialized once and reused.
-    Since only costs and the space row change between solves, the last
-    phase-1 solution is a feasible MIP start for the next phase 1
-    (unless a tighter space limit cuts it off, when HiGHS ignores it).
-    Phase 2 is never seeded: a start from phase 1 slowed it.
+    Each phase 1 is seeded with the last one's solution; phase 2 is
+    never seeded: a start from phase 1 slowed it.
     """
 
     def __init__(self, problem):
@@ -296,8 +326,6 @@ class _Program(SelectionProgram):
         #: advisor can attribute solving vs result extraction honestly
         self.solve_seconds = 0.0
         self.extract_seconds = 0.0
-        #: the last phase-1 solution, the next phase 1's MIP start
-        self._start = None
         self._add_block(problem.query_classes, problem.update_classes,
                         problem.class_weight, self.index_column)
         active = telemetry.current()
@@ -335,17 +363,12 @@ class _Program(SelectionProgram):
         Choose-one rows, support gates and plan links are all
         weight-independent, so only the cost vector needs rebuilding
         — the expensive construction work survives a weight change.
-        The charges are replayed in :meth:`_add_block`'s order, so the
-        vector equals a fresh build's bit for bit.
         """
         problem = self.problem
         problem.set_weights(weights)
-        weight_of = {statement: problem.class_weight(statement)
-                     for statement in problem.classes}
-        costs = [0.0] * self.columns
-        for column, statement, cost in self._charges:
-            costs[column] += weight_of[statement] * cost
-        self.costs = costs
+        self._recost([0.0] * self.columns,
+                     [{statement: problem.class_weight(statement)
+                       for statement in problem.classes}])
 
     # -- solving --------------------------------------------------------------
 
@@ -410,10 +433,8 @@ class _Program(SelectionProgram):
         with active.span("bip_solving"):
             options = {"mip_rel_gap": mip_rel_gap,
                        "time_limit": time_limit}
-            # a fresh program has no start: a cold solve is unseeded
             result = self._solve(self.costs, self._matrix(), options,
-                                 start=self._start)
-            self._start = result.x
+                                 seeded=True)
             best_cost = float(np.asarray(self.costs) @ result.x)
             if minimize_schema_size:
                 phase1_seconds = time.perf_counter() - solve_started

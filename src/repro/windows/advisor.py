@@ -21,13 +21,18 @@ plus migrations priced by the
 therefore directly comparable, and the cheapest of the three scored
 schedules is returned, so the result is never worse than either
 baseline.
+
+The naive baseline's per-window programs and the windowed program are
+kept on the union view's prepared workload: a later call over the same
+statements re-costs them in place and starts each solve from that
+program's last solution.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.advisor import AdvisorTiming
+from repro.advisor import AdvisorTiming, construct_program
 from repro.exceptions import OptimizationError
 from repro.optimizer import OptimizationProblem
 from repro.tools.migration import MigrationCostModel, plan_migration
@@ -210,6 +215,12 @@ def _window_weight_rows(workload, schedule):
     return rows
 
 
+def _active_labels(weights):
+    """The labels a window weight row activates (see ``_active``)."""
+    return frozenset(label for label, weight in weights.items()
+                     if weight > 0.0)
+
+
 def _initial_indexes(initial):
     if initial is None:
         return ()
@@ -286,15 +297,35 @@ def recommend_windows(advisor, workload, schedule, initial=None,
                                 index_by_key, migration_model, initial)
     timing["static"] = time.perf_counter() - started
 
+    # the programs this call solves are kept for the next call over
+    # the same prepared workload, keyed by what fixes their rows; a
+    # kept program is re-costed and re-solved from its last solution
+    kept = prepared._window_programs
+    used = {}
+
+    def program(key, build, reweight):
+        used[key] = construct_program(kept.get(key), build, reweight)
+        return used[key]
+
     # -- naive baseline: re-advise each window, price migrations after;
     # windows with the same weights share one solve
     started = time.perf_counter()
+    optimizer = advisor.optimizer
     solved = {}
     naive_keys = []
     for problem, weights in zip(window_problems, window_weights):
         row = tuple(weights.items())
         if row not in solved:
-            window_rec = advisor.optimizer.solve(problem)
+            labels = _active_labels(weights)
+            # distinct windows over one statement set get a program each
+            repeat = sum(key[1] == labels for key in used)
+            window_program = program(
+                ("naive", labels, repeat),
+                lambda: optimizer.prepare(problem),
+                lambda kept_program: optimizer.reweight(kept_program,
+                                                        weights))
+            window_program.problem.space_limit = space_limit
+            window_rec = optimizer.optimize(window_program)
             solved[row] = {index.key for index in window_rec.indexes}
         naive_keys.append(solved[row])
     naive = _evaluate_schedule(window_problems, schedule, naive_keys,
@@ -303,12 +334,19 @@ def recommend_windows(advisor, workload, schedule, initial=None,
 
     # -- the windowed program: schemas and migrations co-optimized
     started = time.perf_counter()
-    program = WindowedProgram(query_plans, update_plans, window_weights,
-                              union_problem.indexes, migration_model,
-                              initial=(index.key for index in initial),
-                              space_limit=space_limit)
-    key_sets = program.solve(mip_rel_gap=mip_rel_gap,
-                             time_limit=time_limit)
+    initial_keys = frozenset(index.key for index in initial)
+    windowed_program = program(
+        ("windowed", tuple(_active_labels(weights)
+                           for weights in window_weights),
+         initial_keys, space_limit),
+        lambda: WindowedProgram(query_plans, update_plans, window_weights,
+                                union_problem.indexes, migration_model,
+                                initial=initial_keys,
+                                space_limit=space_limit),
+        lambda kept_program: kept_program.reweight(window_weights,
+                                                   migration_model))
+    key_sets = windowed_program.solve(mip_rel_gap=mip_rel_gap,
+                                      time_limit=time_limit)
     # trim cost-tie selections nothing reads, then re-score: the final
     # totals come from the shared evaluator, not the solver objective
     used_sets = [_price(problem, keys, window.label).used_keys
@@ -318,6 +356,8 @@ def recommend_windows(advisor, workload, schedule, initial=None,
     windowed = _evaluate_schedule(window_problems, schedule, trimmed,
                                   index_by_key, migration_model, initial)
     timing["windowed_solve"] = time.perf_counter() - started
+
+    prepared._window_programs = used
 
     baselines = {"static": _baseline_entry(*static),
                  "naive_per_window": _baseline_entry(*naive)}

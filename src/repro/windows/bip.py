@@ -18,6 +18,12 @@ reports — which makes "hold the schema" and "migrate between windows"
 directly comparable inside one objective.  Dropping a column family is
 free, as in the executor.
 
+Like the single-window program, a windowed program is re-costed in
+place for new window weights and migration prices
+(:meth:`WindowedProgram.reweight`) and re-solved from its last
+solution; its rows depend only on each window's active statements, the
+initial schema and the space limit.
+
 As in the single-window program, only the selection variables need
 integrality: for any fixed 0/1 selection the plan optimum is attained
 at pure plans, and the migration variables sit at the integral lower
@@ -87,11 +93,14 @@ class WindowedProgram(SelectionProgram):
 
     # -- construction -----------------------------------------------------
 
-    def _build(self):
+    def _price_migrations(self, costs):
         for j, index in enumerate(self.indexes):
             creation = self.migration_model.index_cost(index)
             for transition in range(self.windows):
-                self.costs[self._m(transition, j)] = creation
+                costs[self._m(transition, j)] = creation
+
+    def _build(self):
+        self._price_migrations(self.costs)
         for window, weights in enumerate(self.window_weights):
             # one block per window over its active statements, linked
             # to the column families this window holds
@@ -121,13 +130,34 @@ class WindowedProgram(SelectionProgram):
                                   [(self._d(transition - 1, j), -1.0)]
                                   + terms)
 
+    # -- re-costing -------------------------------------------------------
+
+    def reweight(self, window_weights, migration_model):
+        """Re-cost the program in place for new window weights and
+        migration prices.
+
+        ``window_weights`` must activate the same statements in each
+        window as the rows were built for; the cost vector then equals
+        a fresh build's bit for bit.
+        """
+        self.window_weights = [dict(row) for row in window_weights]
+        self.migration_model = migration_model
+        costs = [0.0] * self.columns
+        self._price_migrations(costs)
+        statements = [*self.query_plans, *self.update_plans]
+        self._recost(costs, [{statement: weights.get(statement.label, 0.0)
+                              for statement in statements}
+                             for weights in self.window_weights])
+
     # -- solving ----------------------------------------------------------
 
     def solve(self, mip_rel_gap=1e-4, time_limit=120.0):
-        """Solve for the cheapest schedule; returns per-window key sets."""
+        """Solve for the cheapest schedule; returns per-window key sets.
+
+        A re-solve starts from the last solve's solution."""
         result = self._solve(self.costs, self._matrix(),
                              {"mip_rel_gap": mip_rel_gap,
-                              "time_limit": time_limit})
+                              "time_limit": time_limit}, seeded=True)
         self.objective_value = float(
             np.asarray(self.costs) @ result.x)
         active = telemetry.current()

@@ -51,6 +51,25 @@ def test_add_row_requires_primary_key(hotel):
         dataset.add_row("Hotel", {"HotelID": 1, "Rooms": 2})
 
 
+def test_bad_names_raise_after_the_name_cache_is_warm(tiny):
+    # building tiny resolved every Hotel attribute and Hotel.Rooms
+    with pytest.raises(ModelError, match="no attribute 'HotelStars'"):
+        tiny.add_row("Hotel", {"HotelID": 9, "HotelStars": 5})
+    # a foreign key is not an attribute, under either spelling
+    with pytest.raises(ModelError, match="no attribute 'Rooms'"):
+        tiny.add_row("Hotel", {"HotelID": 9, "Rooms": 2})
+    with pytest.raises(ModelError, match="no attribute 'Hotel.Rooms'"):
+        tiny.add_row("Hotel", {"HotelID": 9, "Hotel.Rooms": 2})
+    with pytest.raises(ModelError, match="missing its primary key"):
+        tiny.add_row("Hotel", {"HotelName": "x"})
+    with pytest.raises(ModelError, match="Hotel.HotelName is not a "
+                                         "relationship"):
+        tiny.connect("Hotel", 0, "HotelName", 1)
+    assert 9 not in tiny.rows["Hotel"]
+    row = tiny.add_row("Hotel", {"Hotel.HotelID": 9, "HotelName": "h9"})
+    assert row == {"Hotel.HotelID": 9, "Hotel.HotelName": "h9"}
+
+
 def test_row_lookup(tiny, hotel):
     row = tiny.row(hotel.entity("Hotel"), 0)
     assert row["Hotel.HotelCity"] == "boston"

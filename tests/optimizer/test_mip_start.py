@@ -2,8 +2,9 @@
 
 A fresh program hands HiGHS no MIP start, so a cold answer is the same
 as without one; a warm answer may differ from a fresh program's only
-within ``mip_rel_gap``.  Phase 2 and the windowed program are never
-seeded.
+within ``mip_rel_gap``.  ``recommend_windows`` keeps its naive-baseline
+and windowed programs on the prepared workload, so a second call seeds
+them too.  Phase 2 is never seeded.
 """
 
 import random
@@ -78,7 +79,8 @@ def test_second_solve_starts_from_the_first_phase1_solution(runs):
     assert "bip.dual_bound" in metrics["gauges"]
 
 
-def test_naive_and_windowed_solves_get_no_start(runs, monkeypatch):
+def test_windows_programs_are_kept_and_seeded_across_calls(runs,
+                                                            monkeypatch):
     calls, tag = runs
     model = hotel_model(scale=0.02)
     workload = hotel_workload(model, include_updates=True)
@@ -86,7 +88,6 @@ def test_naive_and_windowed_solves_get_no_start(runs, monkeypatch):
     schedule = WindowSchedule([("default", 400.0), ("writes", 400.0),
                                ("default", 400.0)])
     advisor = Advisor(model)
-    solve = advisor.optimizer.solve
     windowed_solve = WindowedProgram.solve
 
     def tagged(name, function):
@@ -95,21 +96,34 @@ def test_naive_and_windowed_solves_get_no_start(runs, monkeypatch):
             try:
                 return function(*args, **kwargs)
             finally:
-                tag[0] = "static"
+                tag[0] = "naive"
         return call
 
-    advisor.optimizer.solve = tagged("naive", solve)
+    # every solve outside the static baseline and the windowed program
+    # is a naive-baseline window's
+    advisor.recommend_prepared = tagged("static",
+                                        advisor.recommend_prepared)
     monkeypatch.setattr(WindowedProgram, "solve",
                         tagged("windowed", windowed_solve))
     for _ in range(2):
-        tag[0] = "static"
+        tag[0] = "naive"
         recommend_windows(advisor, workload, schedule)
-    starts = {}
-    for name, start, _x in calls:
-        starts.setdefault(name, []).append(start is not None)
-    # two distinct windows per call, each solved in two phases
-    assert starts["naive"] == [False] * 8
-    assert starts["windowed"] == [False, False]
+    solves = {}
+    for name, start, x in calls:
+        solves.setdefault(name, []).append((start, x))
+    starts = {name: [start is not None for start, _x in solved]
+              for name, solved in solves.items()}
+    # two distinct windows per call, each solved in two phases: the
+    # first call is unseeded, and the second call's phase 1 of each
+    # window starts from that window's first phase-1 solution
+    assert starts["naive"] == [False] * 4 + [True, False] * 2
+    naive = solves["naive"]
+    for first, second in ((0, 4), (2, 6)):
+        np.testing.assert_array_equal(naive[second][0], naive[first][1])
+    # the windowed program's second solve starts from its first
+    assert starts["windowed"] == [False, True]
+    windowed = solves["windowed"]
+    np.testing.assert_array_equal(windowed[1][0], windowed[0][1])
     # the static baseline re-solves the prepared program: the second
     # call's phase 1 starts from the first call's
     assert starts["static"] == [False, False, True, False]
