@@ -14,7 +14,9 @@ smallest schema achieving that optimum, as §V describes.
 Solved with HiGHS through the bindings scipy bundles (substituting for
 Gurobi, which is unavailable offline); the formulation is identical.
 Like Gurobi, HiGHS takes a MIP start, which a re-solve of one program
-gets from its previous solve (:meth:`SelectionProgram._solve`).
+gets from its previous solve (:meth:`SelectionProgram._solve`).  Every
+solve runs with HiGHS's feasibility-jump heuristic switched off
+(:data:`HANDLE_OPTIONS`).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.optimizer.results import SchemaRecommendation
 try:
     from scipy.optimize._highspy._core import (
         HighsModelStatus,
+        HighsStatus,
         _Highs,
         kSolutionStatusFeasible,
     )
@@ -41,6 +44,15 @@ except (ImportError, AttributeError) as error:  # pragma: no cover
     raise ImportError(
         "repro needs scipy>=1.17, whose bundled HiGHS bindings "
         "(scipy.optimize._highspy) take a MIP start") from error
+
+
+#: HiGHS options set on every handle, before the per-solve
+#: ``mip_rel_gap`` and ``time_limit``.  Feasibility jump is a start-up
+#: heuristic (HiGHS 1.12) that took about half of each warm solve; these
+#: programs reach a first incumbent without it, from a MIP start or from
+#: the root LP, so switching it off halves a seeded RuBiS phase 1.
+HANDLE_OPTIONS = {"log_to_console": False,
+                  "mip_heuristic_run_feasibility_jump": False}
 
 
 class HighsOutcome(NamedTuple):
@@ -58,12 +70,16 @@ def run_highs(model, options, start=None):
     a fresh HiGHS handle, from the MIP start ``start`` if given.
 
     HiGHS checks the start and ignores it if infeasible.  ``options``
-    are HiGHS options, all doubles; the log stays off the console.
+    are HiGHS options, all doubles, set after :data:`HANDLE_OPTIONS`;
+    an option HiGHS rejects raises :class:`OptimizationError`.
     """
     highs = _Highs()
-    highs.setOptionValue("log_to_console", False)
+    options = {**HANDLE_OPTIONS,
+               **{name: float(value) for name, value in options.items()}}
     for name, value in options.items():
-        highs.setOptionValue(name, float(value))
+        if highs.setOptionValue(name, value) != HighsStatus.kOk:
+            raise OptimizationError(
+                f"HiGHS rejected option {name}={value!r}")
     highs.passModel(*model)
     if start is not None:
         highs.setSolution(len(start), np.arange(len(start), dtype=np.int32),
@@ -252,11 +268,14 @@ class SelectionProgram:
         with ``0 <= x <= upper`` (default 1); returns the
         :class:`HighsOutcome`.
 
-        A ``seeded`` solve starts from the last seeded solve's solution
-        and keeps its own as the next one's start.  Between solves of
-        one program only the costs and per-solve rows change, so the
-        start is feasible unless a tighter space limit cuts it off, and
-        HiGHS then ignores it.
+        The ``seeded`` solves are the cost solves (phase 1 and the
+        windowed solve).  Each starts from the last seeded solve's
+        solution and keeps its own as the next one's start.  Between
+        solves of one program only the costs and per-solve rows change,
+        so the start is feasible unless a tighter space limit cuts it
+        off, and HiGHS then ignores it.  Only a seeded solve sets the
+        ``bip.mip_gap`` and ``bip.dual_bound`` gauges, so they certify
+        the cost optimum rather than phase 2's schema size.
         """
         # Only the column-family selection variables need integrality:
         # for any 0/1 selection, every plan whose column families are
@@ -288,13 +307,13 @@ class SelectionProgram:
                 active.count("bip.time_limited")
         elif result.status != HighsModelStatus.kOptimal:
             raise OptimizationError(self._failure(result.status))
-        if active.enabled:
-            if start is not None:
-                active.count("bip.started")
-            active.gauge("bip.mip_gap", result.mip_gap)
-            active.gauge("bip.dual_bound", result.dual_bound)
         if seeded:
             self._start = result.x
+            if active.enabled:
+                if start is not None:
+                    active.count("bip.started")
+                active.gauge("bip.mip_gap", result.mip_gap)
+                active.gauge("bip.dual_bound", result.dual_bound)
         return result
 
     def _failure(self, status):
@@ -326,6 +345,9 @@ class _Program(SelectionProgram):
         #: advisor can attribute solving vs result extraction honestly
         self.solve_seconds = 0.0
         self.extract_seconds = 0.0
+        #: lazily built, like ``_integrality``: the plan columns grouped
+        #: per query, the groups' start offsets, and the support columns
+        self._phase2_groups = None
         self._add_block(problem.query_classes, problem.update_classes,
                         problem.class_weight, self.index_column)
         active = telemetry.current()
@@ -393,22 +415,33 @@ class _Program(SelectionProgram):
         if costs.size == 0 or costs.min() < 0.0:
             # negative costs void the lower-bound argument
             return upper
+        if self._phase2_groups is None:
+            by_query = {}
+            for query, _plan, column in self.plan_columns:
+                by_query.setdefault(id(query), []).append(column)
+            sizes = [len(group) for group in by_query.values()]
+            self._phase2_groups = (
+                np.asarray([column for group in by_query.values()
+                            for column in group], dtype=np.intp),
+                np.cumsum([0] + sizes[:-1], dtype=np.intp),
+                np.asarray(sizes, dtype=np.intp),
+                np.asarray([column for *_rest, column
+                            in self.support_columns], dtype=np.intp))
+        grouped, starts, sizes, support = self._phase2_groups
         # index-selection columns must never be fixed: the group minima
         # below are computed ignoring which column families exist
         margins = np.full(self.columns, -np.inf)
         lower_bound = 0.0
-        by_query = {}
-        for query, _plan, column in self.plan_columns:
-            by_query.setdefault(id(query), []).append(column)
-        for group in by_query.values():
-            group_costs = costs[group]
-            group_min = float(group_costs.min())
-            lower_bound += group_min
-            margins[group] = group_costs - group_min
-        for _update_plan, _support, _plan, column in self.support_columns:
-            # support plans cost nothing when their gate is closed, so
-            # their margin is the full column cost
-            margins[column] = costs[column]
+        if grouped.size:
+            group_costs = costs[grouped]
+            minima = np.minimum.reduceat(group_costs, starts)
+            # summed in group order, one addition at a time
+            for group_min in minima.tolist():
+                lower_bound += group_min
+            margins[grouped] = group_costs - np.repeat(minima, sizes)
+        # support plans cost nothing when their gate is closed, so their
+        # margin is the full column cost
+        margins[support] = costs[support]
         slack = best_cost + tolerance - lower_bound
         fixed = margins > slack
         active = telemetry.current()

@@ -11,9 +11,10 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import HighsStatus
 
 import repro.optimizer.bip as bip_module
-from repro import Advisor
+from repro import Advisor, OptimizationError
 from repro.demo import hotel_model, hotel_workload
 from repro.optimizer import BIPOptimizer
 from repro.rubis import rubis_model, rubis_workload
@@ -75,7 +76,8 @@ def test_second_solve_starts_from_the_first_phase1_solution(runs):
     assert second_phase2_start is None
     metrics = sink.report().metrics
     assert metrics["counters"]["bip.started"] == 1
-    assert 0.0 <= metrics["gauges"]["bip.mip_gap"] <= 0.02
+    gap = advisor.optimizer.mip_rel_gap
+    assert 0.0 <= metrics["gauges"]["bip.mip_gap"] <= gap
     assert "bip.dual_bound" in metrics["gauges"]
 
 
@@ -127,6 +129,67 @@ def test_windows_programs_are_kept_and_seeded_across_calls(runs,
     # the static baseline re-solves the prepared program: the second
     # call's phase 1 starts from the first call's
     assert starts["static"] == [False, False, True, False]
+
+
+def test_mip_gauges_certify_the_cost_solve(monkeypatch):
+    outcomes = []
+
+    def keeping(model, options, start=None):
+        outcomes.append(real_run(model, options, start))
+        return outcomes[-1]
+
+    monkeypatch.setattr(bip_module, "run_highs", keeping)
+    model, workload = _hotel()
+    with activate() as sink:
+        Advisor(model).recommend(workload)
+    phase1, _phase2 = outcomes
+    gauges = sink.report().metrics["gauges"]
+    # phase 2 minimises the schema size and leaves the gauges alone
+    assert gauges["bip.mip_gap"] == phase1.mip_gap
+    assert gauges["bip.dual_bound"] == phase1.dual_bound
+
+
+def test_run_highs_rejects_an_unknown_option():
+    with pytest.raises(OptimizationError, match="no_such_option"):
+        bip_module.run_highs(None, {"no_such_option": 1.0})
+
+
+def test_every_solve_runs_without_feasibility_jump(runs, monkeypatch):
+    _calls, tag = runs
+    handles = []
+    real_highs = bip_module._Highs
+
+    def recording():
+        handles.append((tag[0], real_highs()))
+        return handles[-1][1]
+
+    monkeypatch.setattr(bip_module, "_Highs", recording)
+    windowed_solve = WindowedProgram.solve
+
+    def windowed(*args, **kwargs):
+        tag[0] = "windowed"
+        return windowed_solve(*args, **kwargs)
+
+    monkeypatch.setattr(WindowedProgram, "solve", windowed)
+    model, workload = _hotel()
+    advisor = Advisor(model)
+    prepared = advisor.prepare(workload)
+    tag[0] = "cold"
+    advisor.recommend_prepared(prepared)
+    tag[0] = "seeded"
+    advisor.recommend_prepared(prepared, weights={
+        label: 2.0 for label in workload.statements})
+    tag[0] = "windows"
+    schedule = WindowSchedule([("default", 400.0), ("default", 800.0)])
+    recommend_windows(advisor, workload, schedule)
+    tags = [name for name, _handle in handles]
+    # cold phases 1 and 2, then a seeded phase 1 and its phase 2
+    assert tags[:4] == ["cold", "cold", "seeded", "seeded"]
+    assert "windowed" in tags
+    for _name, handle in handles:
+        status, value = handle.getOptionValue(
+            "mip_heuristic_run_feasibility_jump")
+        assert (status, value) == (HighsStatus.kOk, False)
 
 
 def test_seeded_resolves_stay_within_the_gap_of_fresh_ones():
