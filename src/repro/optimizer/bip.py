@@ -48,9 +48,9 @@ except (ImportError, AttributeError) as error:  # pragma: no cover
 
 #: HiGHS options set on every handle, before the per-solve
 #: ``mip_rel_gap`` and ``time_limit``.  Feasibility jump is a start-up
-#: heuristic (HiGHS 1.12) that took about half of each warm solve; these
+#: heuristic (HiGHS 1.12) that took up to half of each warm solve; these
 #: programs reach a first incumbent without it, from a MIP start or from
-#: the root LP, so switching it off halves a seeded RuBiS phase 1.
+#: the root LP, so switching it off cuts a seeded RuBiS phase 1 by ~40%.
 HANDLE_OPTIONS = {"log_to_console": False,
                   "mip_heuristic_run_feasibility_jump": False}
 
@@ -435,7 +435,8 @@ class _Program(SelectionProgram):
         if grouped.size:
             group_costs = costs[grouped]
             minima = np.minimum.reduceat(group_costs, starts)
-            # summed in group order, one addition at a time
+            # one addition at a time in group order, not np.sum's
+            # pairwise rounding, so the slack is the sequential sum's
             for group_min in minima.tolist():
                 lower_bound += group_min
             margins[grouped] = group_costs - np.repeat(minima, sizes)
