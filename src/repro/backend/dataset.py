@@ -152,24 +152,28 @@ class Dataset:
         """
         if anchor_position is None:
             anchor_position = 0
-            anchor_ids = list(self.rows[path.first.name])
-        tuples = [(identifier,) for identifier in anchor_ids
-                  if identifier in self.rows[
-                      path.entities[anchor_position].name]]
+            tuples = [(identifier,)
+                      for identifier in self.rows[path.first.name]]
+        else:
+            anchored = self.rows[path.entities[anchor_position].name]
+            tuples = [(identifier,) for identifier in anchor_ids
+                      if identifier in anchored]
         # expand toward the end of the path
         for key in path.keys[anchor_position:]:
+            links = self.links[key.id]
             tuples = [row + (target,)
                       for row in tuples
-                      for target in self.related(key, row[-1])]
+                      for target in links.get(row[-1], ())]
         # expand toward the start of the path (via reverse edges)
         for key in reversed(path.keys[:anchor_position]):
             reverse = key.reverse
             if reverse is None:
                 raise ModelError(
                     f"cannot expand over {key.id}: no reverse edge")
+            links = self.links[reverse.id]
             tuples = [(source,) + row
                       for row in tuples
-                      for source in self.related(reverse, row[0])]
+                      for source in links.get(row[0], ())]
         return tuples
 
     # -- statement evaluation --------------------------------------------------------
@@ -356,17 +360,20 @@ def materialize_rows(dataset, index, anchor_entity=None, anchor_ids=None):
                 if ids not in seen:
                     seen.add(ids)
                     tuples.append(ids)
-    projection = [(position, dataset.rows[name], field_ids)
-                  for position, name, field_ids in index.projection]
+    sources, columns = index.projection
+    lookups = [(position, dataset.rows[name]) for position, name in sources]
     rows = []
     for ids in tuples:
-        row = {}
-        for position, entity_rows, field_ids in projection:
+        found = []
+        for position, entity_rows in lookups:
             source = entity_rows.get(ids[position])
             if source is None:
                 break
-            for field_id in field_ids:
-                row[field_id] = source.get(field_id)
+            found.append(source)
         else:
+            # one dict per record, in the column family's column order
+            row = {}
+            for field_id, slot in columns:
+                row[field_id] = found[slot].get(field_id)
             rows.append(row)
     return rows

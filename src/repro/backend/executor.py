@@ -109,12 +109,9 @@ class ExecutionEngine:
         """Create all recommended column families and populate them from
         the dataset (unmetered — loading is not part of any experiment).
         Returns the total number of rows materialized."""
-        total = 0
-        for index in self.recommendation.indexes:
-            column_family = self.store.create(index)
-            rows = materialize_rows(self.dataset, index)
-            total += column_family.put_many(rows, charge=False)
-        return total
+        return sum(self.store.create(index).load(
+            materialize_rows(self.dataset, index))
+            for index in self.recommendation.indexes)
 
     # -- dispatch -------------------------------------------------------------
 

@@ -57,9 +57,10 @@ class ColumnFamily:
 
     Rows are supplied as ``{field_id: value}`` dictionaries; the column
     family extracts its partition and clustering tuples from them and
-    stores a new dict of its key and value columns (a missing value
-    column is ``None``).  Each partition is a list of ``(key, row)``
-    records sorted by ``key``, the clustering tuple in
+    stores a dict of its key and value columns, in column order (a
+    missing value column is ``None``): a copy on a put, the fresh row
+    itself on a bulk :meth:`load`.  Each partition is a list of
+    ``(key, row)`` records sorted by ``key``, the clustering tuple in
     :func:`~repro.workload.semantics.row_ordering_key` form (NULLS
     LAST), so bisection runs on plain tuple comparison.
     """
@@ -78,36 +79,72 @@ class ColumnFamily:
         self._column_ids = self._hash_ids + self._order_ids + tuple(
             f.id for f in index.extra_fields)
         self._row_bytes = max(index.entry_size, 1)
+        self._partition_of = _tuple_getter(self._hash_ids)
+        self._clustering_of = _tuple_getter(self._order_ids)
         #: partition tuple -> sorted list of (clustering key, row)
         self._partitions = {}
 
     # -- row shredding -------------------------------------------------------
 
+    def _missing_column(self, missing):
+        return ExecutionError(
+            f"row is missing key column {missing} for {self.name}")
+
     def _keys_of(self, row):
         try:
-            partition = tuple(map(row.__getitem__, self._hash_ids))
-            clustering = tuple(map(row.__getitem__, self._order_ids))
+            return self._partition_of(row), self._clustering_of(row)
         except KeyError as missing:
-            raise ExecutionError(
-                f"row is missing key column {missing} for {self.name}"
-            ) from None
-        return partition, clustering
+            raise self._missing_column(missing) from None
 
     def row_key(self, row):
         """The (partition, clustering) key tuple identifying a row."""
         return self._keys_of(row)
 
-    def _write(self, partition, clustering, row):
+    def _copy(self, row):
         # a new dict per upsert: rows handed out by get stay snapshots
         columns = self._column_ids
-        record = (row_ordering_key(clustering),
-                  dict(zip(columns, map(row.get, columns))))
-        bucket = self._partitions.setdefault(partition, [])
-        position = bisect_left(bucket, record[0], key=_KEY)
-        if position < len(bucket) and bucket[position][0] == record[0]:
-            bucket[position] = record
-        else:
-            bucket.insert(position, record)
+        return dict(zip(columns, map(row.get, columns)))
+
+    def _grouped(self, rows, copy):
+        """``{partition: [(key, row), ...]}`` of ``rows`` in input order,
+        each row copied by :meth:`_copy` when ``copy``.  Raises before
+        anything is written when a row lacks a key column."""
+        partition_of = self._partition_of
+        clustering_of = self._clustering_of
+        grouped = {}
+        try:
+            for row in rows:
+                partition = partition_of(row)
+                key = row_ordering_key(clustering_of(row))
+                if copy:
+                    row = self._copy(row)
+                records = grouped.get(partition)
+                if records is None:
+                    grouped[partition] = [(key, row)]
+                else:
+                    records.append((key, row))
+        except KeyError as missing:
+            raise self._missing_column(missing) from None
+        return grouped
+
+    def _write_grouped(self, grouped):
+        """Upsert :meth:`_grouped` records; returns how many there were.
+
+        A partition the column family does not hold yet is sorted once,
+        keeping the last of equal keys as sequential upserts would; a
+        partition that already holds records takes them one by one."""
+        count = 0
+        partitions = self._partitions
+        for partition, records in grouped.items():
+            count += len(records)
+            bucket = partitions.get(partition)
+            if bucket is None:
+                partitions[partition] = (_sorted_last_wins(records)
+                                         if len(records) > 1 else records)
+            else:
+                for record in records:
+                    _write(bucket, record)
+        return count
 
     def _remove(self, partition, clustering):
         bucket = self._partitions.get(partition)
@@ -130,7 +167,8 @@ class ColumnFamily:
     def put(self, row, charge=True):
         """Upsert one record (Cassandra put semantics)."""
         partition, clustering = self._keys_of(row)
-        self._write(partition, clustering, row)
+        _write(self._partitions.setdefault(partition, []),
+               (row_ordering_key(clustering), self._copy(row)))
         if charge:
             self._metrics.puts += 1
             self._metrics.rows_written += 1
@@ -146,15 +184,12 @@ class ColumnFamily:
     def put_many(self, rows, charge=True):
         """Batch upsert, charged as a single request.  All or nothing: a
         row missing a key column raises before any row is written."""
-        batch = [(self._keys_of(row), row) for row in rows]
-        for (partition, clustering), row in batch:
-            self._write(partition, clustering, row)
-        count = len(batch)
+        grouped = self._grouped(rows, copy=True)
+        count = self._write_grouped(grouped)
         if charge and count:
             self._metrics.puts += 1
             self._metrics.rows_written += count
-            self._metrics.partitions_touched += len(
-                {keys[0] for keys, _ in batch})
+            self._metrics.partitions_touched += len(grouped)
             elapsed = self._latency.put_time(count)
             self._metrics.simulated_ms += elapsed
             recorder = self._recorder()
@@ -163,6 +198,16 @@ class ColumnFamily:
                                     row_bytes=self._row_bytes,
                                     time_ms=elapsed)
         return count
+
+    def load(self, rows):
+        """Bulk-load fresh rows, unmetered; returns how many there were.
+
+        Unlike :meth:`put_many` this keeps the row dicts themselves, so
+        each must be a new dict of exactly this column family's columns
+        in column order (``index.all_fields``), as
+        :func:`~repro.backend.dataset.materialize_rows` builds them.
+        All or nothing, like :meth:`put_many`."""
+        return self._write_grouped(self._grouped(rows, copy=False))
 
     def get(self, partition, prefix=(), range_filter=None, limit=None,
             charge=True):
@@ -260,6 +305,12 @@ class ColumnFamily:
             for _, row in bucket:
                 yield row
 
+    def partitions(self):
+        """Iterate ``(partition, records)`` pairs, each partition's
+        ``(key, row)`` records in stored order (unmetered; for checks).
+        Callers must not mutate them."""
+        return iter(self._partitions.items())
+
     @property
     def partition_count(self):
         return len(self._partitions)
@@ -270,6 +321,36 @@ class ColumnFamily:
     def __repr__(self):
         return (f"ColumnFamily({self.name}, partitions="
                 f"{self.partition_count}, rows={len(self)})")
+
+
+def _tuple_getter(ids):
+    """A function reading the ``ids`` columns of a row as a tuple; it
+    raises ``KeyError`` when the row lacks one."""
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    if ids:
+        getter = itemgetter(*ids)
+        return lambda row: (getter(row),)
+    return lambda row: ()
+
+
+def _write(bucket, record):
+    """Upsert a ``(key, row)`` record into a sorted partition."""
+    position = bisect_left(bucket, record[0], key=_KEY)
+    if position < len(bucket) and bucket[position][0] == record[0]:
+        bucket[position] = record
+    else:
+        bucket.insert(position, record)
+
+
+def _sorted_last_wins(records):
+    """``records`` sorted by key with one record per key, the last of
+    equal keys; a stable sort keeps equal keys in input order."""
+    records.sort(key=_KEY)
+    unique = [record for record, following in zip(records, records[1:])
+              if record[0] != following[0]]
+    unique.append(records[-1])
+    return unique
 
 
 def _range_restrict(bucket, low, high, prefix, operator, bound):

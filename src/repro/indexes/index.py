@@ -116,18 +116,22 @@ class Index:
 
     @property
     def projection(self):
-        """How a join row along ``path`` becomes a record: one
-        ``(position, entity name, field ids)`` per path position holding
-        fields of this index, in field order.  Built on first use."""
+        """How a join row along ``path`` becomes a record:
+        ``(sources, columns)``.  ``sources`` holds one ``(position,
+        entity name)`` per path position holding fields of this index,
+        in field order; ``columns`` holds one ``(field id, source
+        slot)`` per field of :attr:`all_fields`, in that order, the slot
+        indexing ``sources``.  Built on first use."""
         if self._projection is None:
-            grouped = {}
-            for field in self._all_fields:
-                position = self.path.index_of(field.parent)
-                grouped.setdefault(position, []).append(field.id)
-            self._projection = tuple(
-                (position, self.path.entities[position].name,
-                 tuple(field_ids))
-                for position, field_ids in grouped.items())
+            positions = [self.path.index_of(field.parent)
+                         for field in self._all_fields]
+            used = list(dict.fromkeys(positions))
+            self._projection = (
+                tuple((position, self.path.entities[position].name)
+                      for position in used),
+                tuple((field.id, used.index(position))
+                      for field, position in zip(self._all_fields,
+                                                 positions)))
         return self._projection
 
     # -- path compatibility ---------------------------------------------------

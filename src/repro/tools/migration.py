@@ -119,20 +119,15 @@ def plan_migration(current, target):
     return SchemaMigration(create, drop, keep)
 
 
-def execute_migration(store, dataset, migration, charge=False):
+def execute_migration(store, dataset, migration):
     """Apply a migration to a store backed by a dataset.
 
-    New column families are created and populated from the ground
-    truth; dropped ones are removed.  ``charge`` meters the loading
-    puts against the store's latency model (off by default — bulk
-    loading is usually out-of-band).  Returns the number of rows
-    loaded.
+    New column families are created and bulk-loaded from the ground
+    truth, unmetered (loading is out-of-band); dropped ones are
+    removed.  Returns the number of rows loaded.
     """
-    loaded = 0
-    for index in migration.create:
-        column_family = store.create(index)
-        rows = materialize_rows(dataset, index)
-        loaded += column_family.put_many(rows, charge=charge)
+    loaded = sum(store.create(index).load(materialize_rows(dataset, index))
+                 for index in migration.create)
     for index in migration.drop:
         store.drop(index)
     return loaded

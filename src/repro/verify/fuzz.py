@@ -84,11 +84,12 @@ def fuzz_workloads(trials=3, seed=0, entities=5, queries=5, updates=2,
                 engine_factory=engine_factory)
             request_log = []
             for _ in range(requests):
+                if runner.divergences:  # from the load sweep or a check
+                    break
                 statement = rng.choice(statements)
                 params = generator.bindings_for(statement)
                 request_log.append((statement, params))
-                if runner.check(statement, params):
-                    break
+                runner.check(statement, params)
             shrunk = None
             if runner.divergences and shrink:
                 shrunk = shrink_divergence(

@@ -5,9 +5,10 @@ through :class:`ExecutionEngine`, and checks every result against the
 reference interpreter: multiset equality of distinct result rows,
 prefix-ordered equality under ORDER BY, subset semantics under LIMIT
 (binding-level truncation makes limited results plan-dependent), and —
-after every write — a store-vs-dataset consistency sweep that
-rematerializes each recommended column family from the ground truth and
-compares it to the live store state.
+right after the load and after every write — a store-vs-dataset
+consistency sweep that rematerializes each recommended column family
+from the ground truth, compares it to the live store state and checks
+that every partition holds its records in strictly ascending key order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.backend.dataset import materialize_rows
 from repro.backend.executor import ExecutionEngine
 from repro.exceptions import NoseError
 from repro.verify.interpreter import ReferenceInterpreter
+from repro.workload.semantics import row_ordering_key
 from repro.workload.statements import Query
 
 #: cap on example rows carried inside a divergence record
@@ -99,6 +101,7 @@ class DifferentialRunner:
         self.interpreter = ReferenceInterpreter(model, dataset)
         self.divergences = []
         self.checks = 0
+        self.sweep(label="(load)")
 
     @property
     def ok(self):
@@ -207,9 +210,19 @@ class DifferentialRunner:
 
     def sweep(self, label="(sweep)", params=None):
         """Store-vs-dataset consistency: every recommended column family
-        must equal a fresh materialization from the ground truth."""
+        must equal a fresh materialization from the ground truth, and
+        each partition must hold its records in strictly ascending key
+        order, each under the partition and key of its own row."""
         for index in self.recommendation.indexes:
             column_family = self.engine.store[index.key]
+            misplaced = _misplaced_rows(column_family)
+            if misplaced:
+                self._diverge(
+                    "store_inconsistent", label, params,
+                    f"column family {index.key} holds {len(misplaced)} "
+                    f"record(s) out of key order or under another key "
+                    f"after {label} [{self.update_protocol} protocol]",
+                    index=index.key, actual=misplaced[:MAX_EXAMPLES])
             expected = {}
             for row in materialize_rows(self.dataset, index):
                 expected[column_family.row_key(row)] = row
@@ -247,3 +260,21 @@ class DifferentialRunner:
         self.divergences.append(Divergence(
             kind, label, params, message, index=index,
             expected=expected, actual=actual))
+
+
+def _misplaced_rows(column_family):
+    """Rows ``column_family`` stores out of place: not after the record
+    before them in key order, under a key other than
+    :func:`~repro.workload.semantics.row_ordering_key` of their
+    clustering columns, or in another partition than their own."""
+    misplaced = []
+    for partition, records in column_family.partitions():
+        previous = None
+        for key, row in records:
+            own_partition, clustering = column_family.row_key(row)
+            if (own_partition != partition
+                    or key != row_ordering_key(clustering)
+                    or (previous is not None and not previous < key)):
+                misplaced.append(row)
+            previous = key
+    return misplaced

@@ -95,6 +95,9 @@ class Shrinker:
             update_protocol=self.update_protocol,
             share_reads=self.share_reads,
             engine_factory=self.engine_factory)
+        for divergence in runner.divergences:  # found by the load sweep
+            if divergence.matches(self.target):
+                return divergence
         for statement, params in requests:
             for divergence in runner.check(statement, params):
                 if divergence.matches(self.target):

@@ -170,9 +170,26 @@ class _TokenStream:
         for word in words:
             self.expect("keyword", word)
 
-    @property
-    def exhausted(self):
-        return self.position >= len(self.tokens)
+    def expect_end(self):
+        """Raise at the first token past the end of the statement."""
+        if self.position < len(self.tokens):
+            token = self.peek()
+            self.error(f"trailing input near {token.value!r}", token)
+
+
+def _entity(model, name, text, offset):
+    """The model's entity called ``name``, or a positioned error."""
+    entity = model.entities.get(name)
+    if entity is None:
+        raise ParseError(f"unknown entity {name!r}", text, offset)
+    return entity
+
+
+def _parse_entity(stream, model, text):
+    """Read an entity name and resolve it against the model."""
+    offset = stream.peek().offset
+    name = stream.expect("name", describe="an entity name")
+    return _entity(model, name, text, offset)
 
 
 class _PathBuilder:
@@ -452,7 +469,8 @@ def _parse_query(stream, model, text, label):
     select_items = _parse_select_items(stream)
     stream.expect_keyword("FROM")
     from_names, from_offset = _parse_dotted_names(stream)
-    builder = _PathBuilder(model, model.entity(from_names[0]), text)
+    builder = _PathBuilder(
+        model, _entity(model, from_names[0], text, from_offset), text)
     builder.extend(from_names[1:], from_offset)
     branches = _parse_where(stream, builder)
     group_by = []
@@ -466,6 +484,7 @@ def _parse_query(stream, model, text, label):
     limit = None
     if stream.accept("keyword", "LIMIT"):
         limit = int(stream.expect("number", describe="a number"))
+    stream.expect_end()
     select = _resolve_select(select_items, builder, text)
     if len(branches) > 1:
         return Query(builder.path, select, disjuncts=branches,
@@ -534,20 +553,21 @@ def _parse_connections(stream, entity, text):
 
 def _parse_insert(stream, model, text, label):
     stream.expect_keyword("INSERT", "INTO")
-    entity = model.entity(stream.expect("name", describe="an entity name"))
+    entity = _parse_entity(stream, model, text)
     stream.expect_keyword("SET")
     settings = _parse_settings(stream, entity, text)
     connections = ()
     if stream.accept("keyword", "AND"):
         stream.expect_keyword("CONNECT", "TO")
         connections = _parse_connections(stream, entity, text)
+    stream.expect_end()
     return Insert(KeyPath(entity), settings, connections, text=text,
                   label=label)
 
 
 def _parse_update(stream, model, text, label):
     stream.expect_keyword("UPDATE")
-    entity = model.entity(stream.expect("name", describe="an entity name"))
+    entity = _parse_entity(stream, model, text)
     builder = _PathBuilder(model, entity, text)
     if stream.accept("keyword", "FROM"):
         from_names, from_offset = _parse_dotted_names(stream)
@@ -560,22 +580,25 @@ def _parse_update(stream, model, text, label):
     settings = _parse_settings(stream, entity, text)
     branches = _parse_where(stream, builder)
     conditions = _require_conjunctive(stream, branches, "UPDATE statements")
+    stream.expect_end()
     return Update(builder.path, settings, conditions, text=text, label=label)
 
 
 def _parse_delete(stream, model, text, label):
     stream.expect_keyword("DELETE", "FROM")
     from_names, from_offset = _parse_dotted_names(stream)
-    builder = _PathBuilder(model, model.entity(from_names[0]), text)
+    builder = _PathBuilder(
+        model, _entity(model, from_names[0], text, from_offset), text)
     builder.extend(from_names[1:], from_offset)
     branches = _parse_where(stream, builder)
     conditions = _require_conjunctive(stream, branches, "DELETE statements")
+    stream.expect_end()
     return Delete(builder.path, conditions, text=text, label=label)
 
 
 def _parse_connect(stream, model, text, label, disconnect):
     stream.expect_keyword("DISCONNECT" if disconnect else "CONNECT")
-    entity = model.entity(stream.expect("name", describe="an entity name"))
+    entity = _parse_entity(stream, model, text)
     stream.expect("punct", "(")
     source_parameter = _parse_parameter(stream, entity.id_field.name)
     stream.expect("punct", ")")
@@ -584,6 +607,7 @@ def _parse_connect(stream, model, text, label, disconnect):
     stream.expect("punct", "(")
     target_parameter = _parse_parameter(stream, key.entity.id_field.name)
     stream.expect("punct", ")")
+    stream.expect_end()
     path = KeyPath(entity, (key,))
     cls = Disconnect if disconnect else Connect
     return cls(path, source_parameter, target_parameter, text=text,
@@ -618,11 +642,6 @@ def parse_statement(model, text, label=None):
         raise ParseError(f"unknown statement type {first.value!r}", text,
                          first.offset)
     try:
-        statement = parsers[keyword]()
+        return parsers[keyword]()
     except ModelError as error:
         raise ParseError(str(error), text) from error
-    if not stream.exhausted:
-        token = stream.peek()
-        raise ParseError(f"trailing input near {token.value!r}", text,
-                         token.offset)
-    return statement

@@ -223,3 +223,42 @@ def test_expert_protocol_writes_fewer_rows(engine_setup):
         results[protocol] = (metrics.rows_written
                              + metrics.rows_deleted)
     assert results["expert"] <= results["nose"]
+
+
+def _records(store):
+    """Every column family's records with their rows' items, in order."""
+    return {key: [(partition, [(record_key, list(row.items()))
+                               for record_key, row in records])
+                  for partition, records in column_family.partitions()]
+            for key, column_family in store.column_families.items()}
+
+
+@pytest.mark.parametrize("application", ["hotel", "rubis"])
+def test_load_equals_one_put_per_materialized_row(application):
+    """The bulk load stores what a put per join row would: the same
+    partitions, records in the same order (the last of equal keys
+    winning) and row dicts with the same keys in the same order."""
+    from repro.backend import Store, materialize_rows
+    if application == "hotel":
+        from repro.demo import hotel_dataset, hotel_model, hotel_workload
+        model = hotel_model(scale=0.02)
+        workload = hotel_workload(model, include_updates=True)
+        dataset = hotel_dataset(model, seed=42)
+    else:
+        from repro.rubis import generate_dataset, rubis_model, rubis_workload
+        model = rubis_model(users=200)
+        workload = rubis_workload(model, mix="bidding")
+        dataset = generate_dataset(model, seed=1)
+    recommendation = Advisor(model).recommend(workload)
+    engine = ExecutionEngine(model, recommendation, dataset)
+    loaded = engine.load()
+    sequential = Store()
+    count = 0
+    for index in recommendation.indexes:
+        column_family = sequential.create(index)
+        for row in materialize_rows(dataset, index):
+            column_family.put(row, charge=False)
+            count += 1
+    assert loaded == count
+    assert _records(engine.store) == _records(sequential)
+    assert engine.store.metrics.snapshot() == Store().metrics.snapshot()

@@ -2,13 +2,15 @@
 
 The column family must behave exactly like "sort all rows, filter by
 partition, clustering prefix and range" for any sequence of puts and
-deletes.
+deletes, and a bulk write exactly like one put per row.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import Store
+from repro.exceptions import ExecutionError
 from repro.indexes import Index
 from repro.model import Entity, IDField, IntegerField, Model
 
@@ -112,3 +114,63 @@ def test_rows_sorted_within_partition(rows):
         keys = [(row["E.B"], row["E.ID"]) for row in got]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+nullable_row_strategy = st.fixed_dictionaries({
+    "E.A": st.integers(0, 3),
+    "E.B": st.none() | st.integers(0, 2),
+    "E.ID": st.none() | st.integers(0, 2),
+    "E.V": st.integers(-10, 10),
+})
+
+COLUMNS = [field.id for field in INDEX.all_fields]
+
+
+def _records(cf):
+    """Every record with its row's items, partitions in stored order."""
+    return [(partition, [(key, list(row.items())) for key, row in records])
+            for partition, records in cf.partitions()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(existing=st.lists(nullable_row_strategy, max_size=10),
+       batch=st.lists(nullable_row_strategy, max_size=30),
+       bulk=st.sampled_from(["load", "put_many"]))
+def test_bulk_write_matches_one_put_per_row(existing, batch, bulk):
+    sequential = Store().create(INDEX)
+    bulked = Store().create(INDEX)
+    for row in existing:
+        sequential.put(row, charge=False)
+        bulked.put(row, charge=False)
+    for row in batch:
+        sequential.put(row, charge=False)
+    if bulk == "load":
+        # load keeps fresh rows as they are: hand it column-ordered ones
+        count = bulked.load([{column: row[column] for column in COLUMNS}
+                             for row in batch])
+    else:
+        count = bulked.put_many(batch, charge=False)
+    assert count == len(batch)
+    assert _records(bulked) == _records(sequential)
+
+
+@settings(max_examples=60, deadline=None)
+@given(existing=st.lists(nullable_row_strategy, max_size=10),
+       batch=st.lists(nullable_row_strategy, min_size=1, max_size=10),
+       bad=st.integers(0, 9),
+       missing=st.sampled_from(["E.A", "E.B", "E.ID"]),
+       bulk=st.sampled_from(["load", "put_many"]))
+def test_bulk_write_with_a_malformed_row_writes_nothing(existing, batch,
+                                                        bad, missing, bulk):
+    cf = Store().create(INDEX)
+    for row in existing:
+        cf.put(row, charge=False)
+    before = _records(cf)
+    rows = [dict(row) for row in batch]
+    del rows[bad % len(rows)][missing]
+    with pytest.raises(ExecutionError, match="missing key column"):
+        if bulk == "load":
+            cf.load(rows)
+        else:
+            cf.put_many(rows, charge=False)
+    assert _records(cf) == before

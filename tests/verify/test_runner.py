@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Advisor
+from repro.backend import ExecutionEngine
 from repro.randgen import random_dataset, random_model, random_workload
 from repro.verify import DifferentialRunner, verify_recommendation
 
@@ -51,6 +52,44 @@ def test_sweep_catches_store_corruption(verified_hotel):
     assert divergences
     assert divergences[0].kind == "store_inconsistent"
     assert divergences[0].index == index.key
+
+
+class MissortingEngine(ExecutionEngine):
+    """Broken on purpose: loads every partition in reverse key order."""
+
+    def load(self):
+        total = super().load()
+        for column_family in self.store.column_families.values():
+            for _partition, records in column_family.partitions():
+                records.reverse()
+        return total
+
+
+def test_load_sweep_catches_a_missorted_partition(verified_hotel):
+    model, workload, dataset, recommendation = verified_hotel
+    runner = DifferentialRunner(model, recommendation, dataset.copy(),
+                                engine_factory=MissortingEngine)
+    assert runner.divergences
+    assert {divergence.kind for divergence in runner.divergences} \
+        == {"store_inconsistent"}
+    assert {divergence.label for divergence in runner.divergences} \
+        == {"(load)"}
+    assert all("out of key order" in divergence.message
+               for divergence in runner.divergences)
+    assert runner.checks == 0
+
+
+def test_verification_stops_at_a_load_divergence(verified_hotel):
+    model, workload, dataset, recommendation = verified_hotel
+    report = verify_recommendation(
+        model, workload, recommendation, dataset, seed=0,
+        protocols=("nose",), engine_factory=MissortingEngine)
+    assert not report["ok"]
+    entry = report["protocols"]["nose"]
+    assert entry["checks"] == 0
+    assert entry["divergences"][0]["label"] == "(load)"
+    # the load alone reproduces it: no request survives shrinking
+    assert entry["shrunk"]["requests"] == []
 
 
 def test_query_mismatch_reports_missing_rows(verified_hotel):

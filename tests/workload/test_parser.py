@@ -1,5 +1,7 @@
 """Unit tests for the statement parser."""
 
+import re
+
 import pytest
 
 from repro.exceptions import ParseError
@@ -160,6 +162,29 @@ def test_connect_by_entity_name(hotel):
 def test_parse_errors(hotel, text):
     with pytest.raises(ParseError):
         parse_statement(hotel, text)
+
+
+@pytest.mark.parametrize("text, message, token", [
+    # a stray token before a clause is trailing input, reported before
+    # the statement itself is validated
+    ("SELECT Guest.GuestName FROM Guest ( WHERE Guest.GuestID = ?",
+     "trailing input near '('", "("),
+    ("SELECT Guest.GuestName FROM COUNT(*) WHERE Guest.GuestID = ?",
+     "unknown entity 'COUNT'", "COUNT"),
+    ("SELECT Guest.GuestName FROM AS WHERE Guest.GuestID = ?",
+     "unknown entity 'AS'", "AS"),
+    ("UPDATE Nowhere SET GuestName = ?", "unknown entity 'Nowhere'",
+     "Nowhere"),
+    ("CONNECT Guest(?) TO Reservations(?) extra",
+     "trailing input near 'extra'", "extra"),
+])
+def test_parse_errors_point_at_the_offending_token(hotel, text, message,
+                                                   token):
+    with pytest.raises(ParseError, match=re.escape(message)) as caught:
+        parse_statement(hotel, text)
+    assert caught.value.offset == text.index(f" {token}") + 1
+    assert caught.value.line == 1
+    assert caught.value.column == caught.value.offset + 1
 
 
 def test_unqualified_reference_rejected(hotel):
