@@ -109,9 +109,11 @@ class ExecutionEngine:
         """Create all recommended column families and populate them from
         the dataset (unmetered — loading is not part of any experiment).
         Returns the total number of rows materialized."""
-        return sum(self.store.create(index).load(
-            materialize_rows(self.dataset, index))
-            for index in self.recommendation.indexes)
+        total = 0
+        for index in self.recommendation.indexes:
+            column_family = self.store.create(index)
+            total += column_family.load(materialize_rows(self.dataset, index))
+        return total
 
     # -- dispatch -------------------------------------------------------------
 

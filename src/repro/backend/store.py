@@ -86,15 +86,13 @@ class ColumnFamily:
 
     # -- row shredding -------------------------------------------------------
 
-    def _missing_column(self, missing):
-        return ExecutionError(
-            f"row is missing key column {missing} for {self.name}")
-
     def _keys_of(self, row):
         try:
             return self._partition_of(row), self._clustering_of(row)
         except KeyError as missing:
-            raise self._missing_column(missing) from None
+            raise ExecutionError(
+                f"row is missing key column {missing} for {self.name}"
+            ) from None
 
     def row_key(self, row):
         """The (partition, clustering) key tuple identifying a row."""
@@ -109,22 +107,17 @@ class ColumnFamily:
         """``{partition: [(key, row), ...]}`` of ``rows`` in input order,
         each row copied by :meth:`_copy` when ``copy``.  Raises before
         anything is written when a row lacks a key column."""
-        partition_of = self._partition_of
-        clustering_of = self._clustering_of
+        keys_of = self._keys_of
         grouped = {}
-        try:
-            for row in rows:
-                partition = partition_of(row)
-                key = row_ordering_key(clustering_of(row))
-                if copy:
-                    row = self._copy(row)
-                records = grouped.get(partition)
-                if records is None:
-                    grouped[partition] = [(key, row)]
-                else:
-                    records.append((key, row))
-        except KeyError as missing:
-            raise self._missing_column(missing) from None
+        for row in rows:
+            partition, clustering = keys_of(row)
+            record = (row_ordering_key(clustering),
+                      self._copy(row) if copy else row)
+            records = grouped.get(partition)
+            if records is None:
+                grouped[partition] = [record]
+            else:
+                records.append(record)
         return grouped
 
     def _write_grouped(self, grouped):

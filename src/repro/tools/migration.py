@@ -126,8 +126,10 @@ def execute_migration(store, dataset, migration):
     truth, unmetered (loading is out-of-band); dropped ones are
     removed.  Returns the number of rows loaded.
     """
-    loaded = sum(store.create(index).load(materialize_rows(dataset, index))
-                 for index in migration.create)
+    loaded = 0
+    for index in migration.create:
+        column_family = store.create(index)
+        loaded += column_family.load(materialize_rows(dataset, index))
     for index in migration.drop:
         store.drop(index)
     return loaded
