@@ -3,7 +3,7 @@
 The benchmark harnesses need a consistent source of truth from which
 every column family can be (re)materialized: initial loading, and the
 row-level maintenance performed when updates execute.  A
-:class:`Dataset` stores entity rows keyed by ID and adjacency sets for
+:class:`Dataset` stores entity rows keyed by ID and adjacency dicts for
 both directions of every relationship, and can enumerate the join rows
 of any path — optionally anchored at specific entity IDs, which makes
 update maintenance proportional to the change rather than the data.
@@ -25,7 +25,8 @@ class Dataset:
         #: entity name -> rows deleted so far, so a cached key list can
         #: tell a delete plus an insert from no change at all
         self.deletions = {name: 0 for name in model.entities}
-        #: foreign key field id -> {source id: set of target ids}
+        #: foreign key field id -> {source id: {target id: None}}: unlike
+        #: sets, dicts of atomic ids are never tracked by the collector
         self.links = {}
         for entity in model.entities.values():
             for key in entity.foreign_keys:
@@ -71,9 +72,9 @@ class Dataset:
     def connect(self, entity_name, source_id, relationship, target_id):
         """Create a relationship instance (both directions)."""
         forward, backward = self._links_of(entity_name, relationship)
-        forward.setdefault(source_id, set()).add(target_id)
+        forward.setdefault(source_id, {})[target_id] = None
         if backward is not None:
-            backward.setdefault(target_id, set()).add(source_id)
+            backward.setdefault(target_id, {})[source_id] = None
 
     def _links_of(self, entity_name, relationship):
         """The link dicts of both directions of ``relationship``."""
@@ -88,9 +89,9 @@ class Dataset:
 
     def disconnect(self, entity_name, source_id, relationship, target_id):
         forward, backward = self._links_of(entity_name, relationship)
-        forward.get(source_id, set()).discard(target_id)
+        forward.get(source_id, {}).pop(target_id, None)
         if backward is not None:
-            backward.get(target_id, set()).discard(source_id)
+            backward.get(target_id, {}).pop(source_id, None)
 
     def delete_entity(self, entity_name, entity_id):
         """Remove a row and every relationship instance touching it."""
@@ -98,11 +99,9 @@ class Dataset:
         self.rows[entity.name].pop(entity_id, None)
         self.deletions[entity.name] += 1
         for key in entity.foreign_keys:
-            targets = self.links[key.id].pop(entity_id, set())
-            if key.reverse is not None:
-                for target in targets:
-                    self.links[key.reverse.id].get(target, set()).discard(
-                        entity_id)
+            reverse = {} if key.reverse is None else self.links[key.reverse.id]
+            for target in self.links[key.id].pop(entity_id, {}):
+                reverse.get(target, {}).pop(entity_id, None)
 
     def copy(self):
         """An independent deep copy (rows and links), sharing the model.
@@ -115,7 +114,7 @@ class Dataset:
         twin.rows = {name: {identifier: dict(row)
                             for identifier, row in rows.items()}
                      for name, rows in self.rows.items()}
-        twin.links = {key: {source: set(targets)
+        twin.links = {key: {source: dict(targets)
                             for source, targets in links.items()}
                       for key, links in self.links.items()}
         return twin
@@ -132,8 +131,8 @@ class Dataset:
     # -- navigation --------------------------------------------------------------
 
     def related(self, key, source_id):
-        """Target IDs reached from one source row over one edge."""
-        return self.links[key.id].get(source_id, set())
+        """Target IDs reached from one source row over one edge (a view)."""
+        return self.links[key.id].get(source_id, {}).keys()
 
     def row(self, entity, entity_id):
         stored = self.rows[entity.name].get(entity_id)

@@ -33,6 +33,8 @@ class ParseError(NoseError):
     """
 
     def __init__(self, message, text=None, offset=None):
+        #: the message without its position or statement text
+        self.reason = message
         self.text = text
         self.offset = offset
         self.line = None

@@ -289,9 +289,11 @@ class SelectionProgram:
             self._integrality = np.zeros(self.columns, dtype=np.int32)
             self._integrality[:self.binaries] = 1
         a_start, a_index, a_value, row_lower, row_upper = matrix
+        objective = np.asarray(objective, dtype=float)
+        self._check_finite(objective, row_lower, row_upper)
         # column-wise matrix (format 1), minimised (sense 1), no offset
         model = (self.columns, len(row_lower), len(a_index), 1, 1, 0.0,
-                 np.asarray(objective, dtype=float), np.zeros(self.columns),
+                 objective, np.zeros(self.columns),
                  np.ones(self.columns) if upper is None else upper,
                  row_lower, row_upper, a_start, a_index, a_value,
                  self._integrality)
@@ -315,6 +317,28 @@ class SelectionProgram:
                 active.gauge("bip.mip_gap", result.mip_gap)
                 active.gauge("bip.dual_bound", result.dual_bound)
         return result
+
+    def _check_finite(self, objective, row_lower, row_upper):
+        """Raise :class:`OptimizationError` at the first non-finite
+        objective entry or NaN row bound (a cost cap or space limit):
+        HiGHS may search forever on one."""
+        bad = np.flatnonzero(~np.isfinite(objective))
+        if bad.size:
+            column = int(bad[0])
+            owners = [statement.label for charges in self._charges
+                      for charged, statement, cost in charges
+                      if charged == column and not np.isfinite(cost)]
+            raise OptimizationError(
+                f"BIP objective entry {column} is {objective[column]}"
+                + (f" (a cost of {owners[0]})" if owners else "")
+                + ": a cost, weight or entity count is not finite")
+        bad = np.flatnonzero(np.isnan(row_lower) | np.isnan(row_upper))
+        if bad.size:
+            row = int(bad[0])
+            raise OptimizationError(
+                f"BIP row {row} has bounds [{row_lower[row]}, "
+                f"{row_upper[row]}]: a cost cap or space limit is not "
+                f"finite")
 
     def _failure(self, status):
         """The error message for a solve that ended in ``status``."""

@@ -131,6 +131,8 @@ class _TokenStream:
         #: offset of the first OR keyword consumed, for statement types
         #: that reject disjunction
         self.or_offset = None
+        #: offset of the WHERE keyword, where validation errors point
+        self.where_offset = None
 
     def peek(self, ahead=0):
         index = self.position + ahead
@@ -372,8 +374,10 @@ def _parse_where(stream, builder):
     Returns a list of branches (each a list of conditions); a missing
     clause yields the single empty branch.
     """
+    offset = stream.peek().offset
     if stream.accept("keyword", "WHERE") is None:
         return [[]]
+    stream.where_offset = offset
     return _parse_or_expr(stream, builder)
 
 
@@ -620,8 +624,9 @@ def parse_statement(model, text, label=None):
     Returns a :class:`~repro.workload.statements.Statement` subclass
     instance; raises :class:`~repro.exceptions.ParseError` on malformed
     input or references that do not resolve against the model.  Errors
-    raised during parsing carry the source line/column and a caret
-    pointing at the offending token.
+    in non-empty text carry the source line/column and a caret pointing
+    at the offending token; the statement's own validation errors point
+    at the WHERE keyword, or at the end of input when there is none.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -643,5 +648,14 @@ def parse_statement(model, text, label=None):
                          first.offset)
     try:
         return parsers[keyword]()
-    except ModelError as error:
-        raise ParseError(str(error), text) from error
+    except (ModelError, ParseError) as error:
+        if getattr(error, "offset", None) is not None:
+            raise
+        # the statement's own validation rejected what parsed; its checks
+        # mostly concern the WHERE clause, so point at that clause, or at
+        # the end of input where one was expected
+        offset = stream.where_offset
+        if offset is None:
+            offset = len(text.rstrip())
+        raise ParseError(getattr(error, "reason", str(error)), text,
+                         offset) from error

@@ -226,3 +226,81 @@ def test_sync_counts(tiny, hotel):
     tiny.sync_counts()
     assert hotel.entity("Room").count == 4
     assert hotel.entity("Guest").count == 2
+
+
+def test_link_containers_are_not_tracked_by_the_collector():
+    """Links hold only atomic ids, so a dataset adds no container the
+    garbage collector has to walk, however many links it holds."""
+    import gc
+
+    from repro.randgen import random_dataset, random_model
+    from repro.rubis import generate_dataset, rubis_model
+    rubis = generate_dataset(rubis_model(users=200), seed=1)
+    randgen = random_dataset(random_model(entities=6, seed=11), seed=11)
+    for dataset in (rubis, randgen, rubis.copy()):
+        containers = [targets for links in dataset.links.values()
+                      for targets in links.values()]
+        assert containers
+        assert not any(gc.is_tracked(targets) for targets in containers)
+
+
+def test_copy_is_independent_of_the_original(tiny, hotel):
+    rooms = hotel.entity("Hotel")["Rooms"]
+    hotel_of = hotel.entity("Room")["Hotel"]
+    reservations = hotel.entity("Guest")["Reservations"]
+    twin = tiny.copy()
+    assert twin.rows == tiny.rows and twin.links == tiny.links
+    twin.connect("Hotel", 1, "Rooms", 0)
+    twin.disconnect("Hotel", 0, "Rooms", 2)
+    twin.delete_entity("Guest", 0)
+    twin.rows["Room"][1]["Room.RoomRate"] = 0.0
+    assert twin.related(rooms, 1) == {0, 1, 3}
+    assert twin.related(rooms, 0) == {0}
+    assert twin.related(reservations, 0) == set()
+    assert tiny.related(rooms, 0) == {0, 2}
+    assert tiny.related(rooms, 1) == {1, 3}
+    assert tiny.related(hotel_of, 0) == {0}
+    assert tiny.related(hotel_of, 2) == {0}
+    assert tiny.related(reservations, 0) == {0, 2}
+    assert 0 in tiny.rows["Guest"]
+    assert tiny.rows["Room"][1]["Room.RoomRate"] == 200.0
+
+
+def test_load_does_not_depend_on_link_insertion_order():
+    """Links iterate in insertion order, so a dataset whose connects ran
+    in reverse must still load the same partitions, each holding the
+    same records in the same order."""
+    from repro import Advisor
+    from repro.backend import ExecutionEngine
+    from repro.rubis import generate_dataset, rubis_model, rubis_workload
+    model = rubis_model(users=200)
+    dataset = generate_dataset(model, seed=1)
+    reversed_links = Dataset(model)
+    reversed_links.rows = dataset.copy().rows
+    connects = []
+    for entity in model.entities.values():
+        for key in entity.foreign_keys:
+            if key.reverse is not None and key.reverse.id < key.id:
+                continue  # connect makes both directions
+            connects += [(entity.name, source, key, target)
+                         for source, targets in dataset.links[key.id].items()
+                         for target in targets]
+    for connect in reversed(connects):
+        reversed_links.connect(*connect)
+    assert reversed_links.links == dataset.links
+    assert any(list(reversed_links.links[key][source]) != list(targets)
+               for key, links in dataset.links.items()
+               for source, targets in links.items())
+
+    recommendation = Advisor(model).recommend(
+        rubis_workload(model, mix="bidding"))
+
+    def stored(dataset):
+        engine = ExecutionEngine(model, recommendation, dataset)
+        engine.load()
+        return {key: {partition: [(record_key, list(row.items()))
+                                  for record_key, row in records]
+                      for partition, records in family.partitions()}
+                for key, family in engine.store.column_families.items()}
+
+    assert stored(reversed_links) == stored(dataset)

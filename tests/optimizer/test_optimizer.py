@@ -242,3 +242,20 @@ def test_recommendation_reporting(hotel, pool, statements):
     assert "Recommended schema" in text
     for index in result.indexes:
         assert index.key in text
+
+
+def test_non_finite_inputs_raise_before_the_solve():
+    """A NaN entity count makes costs NaN, and HiGHS may never return
+    on such a program; the solve must refuse it up front."""
+    from repro.demo import hotel_model, hotel_workload
+    model = hotel_model()
+    workload = hotel_workload(model, include_updates=True)
+    model.entity("Hotel").count = float("nan")
+    with pytest.raises(OptimizationError,
+                       match=r"objective entry \d+ is nan \(a cost of "):
+        Advisor(model).recommend(workload)
+    model = hotel_model()
+    workload = hotel_workload(model, include_updates=True)
+    with pytest.raises(OptimizationError,
+                       match=r"BIP row \d+ has bounds \[-inf, nan\]"):
+        Advisor(model).recommend(workload, space_limit=float("nan"))

@@ -209,3 +209,32 @@ def test_statement_label_round_trip(hotel):
                             label="my_label")
     assert query.label == "my_label"
     assert query.text.startswith("SELECT")
+
+
+@pytest.mark.parametrize("text, message, where", [
+    # no WHERE clause: the error points at the end of input
+    ("DELETE FROM Guest", "DELETE requires a WHERE clause", None),
+    ("UPDATE Guest SET GuestName = ?", "UPDATE requires a WHERE clause",
+     None),
+    ("SELECT Guest.GuestName FROM Guest",
+     "a query needs at least one equality", None),
+    ("SELECT Guest.GuestName\nFROM Guest  \n",
+     "a query needs at least one equality", None),
+    # a WHERE clause that fails validation: the error points at WHERE
+    ("SELECT Guest.GuestName FROM Guest WHERE Guest.GuestName > ?",
+     "a query needs at least one equality", "WHERE"),
+    ("SELECT Guest.GuestName FROM Guest\nWHERE Guest.GuestName > ?",
+     "a query needs at least one equality", "WHERE"),
+])
+def test_validation_errors_are_positioned(hotel, text, message, where):
+    with pytest.raises(ParseError, match=re.escape(message)) as caught:
+        parse_statement(hotel, text)
+    error = caught.value
+    lines = text.split("\n")
+    assert 1 <= error.line <= len(lines)
+    assert 1 <= error.column <= len(lines[error.line - 1]) + 1
+    if where is None:
+        assert error.offset == len(text.rstrip())
+    else:
+        assert error.offset == text.index(where)
+    assert "(in statement:" not in str(error)
