@@ -11,6 +11,8 @@ update maintenance proportional to the change rather than the data.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.exceptions import ExecutionError, ModelError
 from repro.model.fields import ForeignKeyField
 
@@ -37,6 +39,8 @@ class Dataset:
         #: -> (forward links, reverse links or None)
         self._attributes = {}
         self._link_dicts = {}
+        #: entity name -> (deletions when built, cached :meth:`ids` list)
+        self._ids = {}
 
     # -- population ------------------------------------------------------------
 
@@ -134,6 +138,19 @@ class Dataset:
         """Target IDs reached from one source row over one edge (a view)."""
         return self.links[key.id].get(source_id, {}).keys()
 
+    def ids(self, entity_name):
+        """The IDs of ``entity_name``'s rows in insertion order: a cached
+        list that callers must not mutate.  Inserts append, so new keys
+        are read off the end; a delete makes the next call rebuild it."""
+        rows = self.rows[entity_name]
+        seen, keys = self._ids.get(entity_name, (None, None))
+        if seen != self.deletions[entity_name]:
+            keys = list(rows)
+            self._ids[entity_name] = (self.deletions[entity_name], keys)
+        elif len(keys) < len(rows):
+            keys += list(islice(reversed(rows), len(rows) - len(keys)))[::-1]
+        return keys
+
     def row(self, entity, entity_id):
         stored = self.rows[entity.name].get(entity_id)
         if stored is None:
@@ -206,31 +223,39 @@ class Dataset:
                 if any(satisfies(row, branch) for branch in branches)]
 
     def _best_anchor(self, statement, params, path):
-        """Anchor the join at the most selective bindable predicate."""
+        """Anchor the join at the most selective bindable predicate: an
+        ID predicate pinning at most one row at once, else the fewest
+        survivors of one scan per entity narrowed by its predicates.
+        :meth:`_filtered_tuples` re-checks every predicate anyway."""
         if getattr(statement, "is_disjunctive", False):
             # no single predicate constrains every OR branch
             return None, None
-        best = None
+        anchors = []
+        scans = {}
         for condition in statement.bindable_conditions:
             position = path.index_of(condition.field.parent)
             entity = path.entities[position]
+            if condition.field is not entity.id_field:
+                scans.setdefault(position, []).append(condition)
+                continue
             bound = condition.bind(params)
-            if condition.field is entity.id_field \
-                    and not condition.is_membership:
-                ids = [bound] if bound in self.rows[entity.name] else []
-            elif condition.field is entity.id_field:
-                ids = [member for member in dict.fromkeys(bound)
-                       if member in self.rows[entity.name]]
-            else:
-                field_id = condition.field.id
-                ids = [identifier for identifier, row
-                       in self.rows[entity.name].items()
-                       if condition.matches(row.get(field_id), bound)]
-            if best is None or len(ids) < len(best[1]):
-                best = (position, ids)
-        if best is None:
-            return None, None
-        return best
+            members = dict.fromkeys(bound) if condition.is_membership \
+                else (bound,)
+            rows = self.rows[entity.name]
+            ids = [member for member in members if member in rows]
+            if len(ids) <= 1:
+                return position, ids
+            anchors.append((position, ids))
+        for position, conditions in scans.items():
+            survivors = self.rows[path.entities[position].name].items()
+            for condition in conditions:
+                field_id, matches = condition.field.id, condition.matches
+                bound = condition.bind(params)
+                survivors = [(key, row) for key, row in survivors
+                             if matches(row.get(field_id), bound)]
+            anchors.append((position, [key for key, _ in survivors]))
+        return min(anchors, key=lambda anchor: len(anchor[1]),
+                   default=(None, None))
 
     def evaluate_query(self, query, params):
         """Reference answer for a query: distinct selected-field tuples.

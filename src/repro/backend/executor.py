@@ -354,9 +354,11 @@ class ExecutionEngine:
         A binding contributes one value per key field it carries; an
         ``IN`` predicate contributes one value per distinct list member,
         turning the lookup into a multi-get over the cross product.
-        Rows fetched for the empty binding pass on as the store returned
-        them: nothing downstream mutates a binding, so neither the store
-        nor the transaction cache can be corrupted through them.
+        A lookup keyed by ``parameters`` alone and fed the lone empty
+        binding, as a branch's first lookup is, issues its one request
+        and passes on the list the store or the cache returned: no step
+        mutates a binding or a bindings list, so neither can be
+        corrupted through them.
         """
         column_family = self.store[step.key]
         range_request = None
@@ -366,6 +368,19 @@ class ExecutionEngine:
                              params[condition.parameter])
         if not bindings:
             return []
+        # without a transaction cache, each distinct request goes once
+        issued = self._transaction_cache
+        if issued is None:
+            issued = {}
+        if step.parameters is not None and bindings == [{}]:
+            values = tuple(map(params.__getitem__, step.parameters))
+            request = (step.key, values[:step.width], values[step.width:],
+                       range_request)
+            rows = issued.get(request)
+            if rows is None:
+                rows = issued[request] = column_family.get(
+                    request[1], request[2], range_filter=range_request)
+            return rows
         # parameter values are the same for every binding; a key field
         # the bindings carry is left None and read per binding
         choices = [None if condition is None
@@ -375,8 +390,6 @@ class ExecutionEngine:
                    for condition in step.conditions]
         width = step.width
         key = step.key
-        cache = self._transaction_cache
-        issued = {}
         results = []
         for binding in bindings:
             for values in itertools.product(*[
@@ -386,14 +399,9 @@ class ExecutionEngine:
                 prefix = values[width:]
                 request = (key, partition, prefix, range_request)
                 rows = issued.get(request)
-                if rows is None and cache is not None:
-                    rows = cache.get(request)
                 if rows is None:
-                    rows = column_family.get(partition, prefix,
-                                             range_filter=range_request)
-                    issued[request] = rows
-                    if cache is not None:
-                        cache[request] = rows
+                    rows = issued[request] = column_family.get(
+                        partition, prefix, range_filter=range_request)
                 if binding:
                     results.extend({**binding, **row} for row in rows)
                 else:
@@ -570,9 +578,11 @@ class _Lookup:
     ``field_ids`` names the key column, and ``conditions`` the predicate
     whose parameter supplies its value — or None when every incoming
     binding carries the column (an earlier lookup fetched it).
+    ``parameters`` names the parameter of every key value when no
+    binding and no ``IN`` list supplies one, and is None otherwise.
     """
 
-    __slots__ = ("key", "width", "field_ids", "conditions",
+    __slots__ = ("key", "width", "field_ids", "conditions", "parameters",
                  "range_condition")
 
     def __init__(self, step, query, available):
@@ -591,6 +601,11 @@ class _Lookup:
                 raise ExecutionError(
                     f"no value available for {field_id} in lookup on "
                     f"{index.key}")
+        self.parameters = None
+        if all(condition is not None and not condition.is_membership
+               for condition in self.conditions):
+            self.parameters = tuple(condition.parameter
+                                    for condition in self.conditions)
         self.range_condition = None
         if step.range_field is not None:
             self.range_condition = query.condition_on(step.range_field)

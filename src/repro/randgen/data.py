@@ -137,17 +137,16 @@ class BindingGenerator:
         return value
 
     def _sample_id(self, entity):
-        rows = self.dataset.rows[entity.name]
-        if not rows:
+        keys = self.dataset.ids(entity.name)
+        if not keys:
             return self._fresh_id(entity.name)
-        keys = list(rows)
         return keys[self.rng.randrange(len(keys))]
 
     def _sample_value(self, field):
         """A value drawn from the live distribution of ``field``."""
         rows = self.dataset.rows[field.parent.name]
-        if rows and self.rng.random() >= self.null_rate:
-            keys = list(rows)
+        keys = self.dataset.ids(field.parent.name)
+        if keys and self.rng.random() >= self.null_rate:
             row = rows[keys[self.rng.randrange(len(keys))]]
             return row.get(field.id)
         if self.rng.random() < 0.5:

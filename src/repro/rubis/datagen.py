@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import datetime
 import random
-from itertools import islice
 
 from repro.backend.dataset import Dataset
 from repro.rubis.transactions import TRANSACTIONS
@@ -153,7 +152,6 @@ class RubisParameterGenerator:
         self.rng = random.Random(seed)
         self._next_id = {name: max(rows, default=0) + 1_000_000
                          for name, rows in dataset.rows.items()}
-        self._key_cache = {}
 
     def _fresh_id(self, entity_name):
         value = self._next_id[entity_name]
@@ -161,16 +159,7 @@ class RubisParameterGenerator:
         return value
 
     def _any_id(self, entity_name):
-        rows = self.dataset.rows[entity_name]
-        deletions = self.dataset.deletions[entity_name]
-        seen, keys = self._key_cache.get(entity_name, (None, None))
-        if seen != deletions:
-            keys = list(rows)
-            self._key_cache[entity_name] = (deletions, keys)
-        elif len(keys) < len(rows):
-            # inserts append: the new keys are the last in insertion order
-            grown = list(islice(reversed(rows), len(rows) - len(keys)))
-            keys.extend(reversed(grown))
+        keys = self.dataset.ids(entity_name)
         return keys[self.rng.randrange(len(keys))]
 
     def requests_for(self, transaction):

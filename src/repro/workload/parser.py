@@ -487,7 +487,10 @@ def _parse_query(stream, model, text, label):
         order_by = _parse_field_list(stream, builder)
     limit = None
     if stream.accept("keyword", "LIMIT"):
+        token = stream.peek()
         limit = int(stream.expect("number", describe="a number"))
+        if limit < 1:
+            stream.error("LIMIT must be positive", token)
     stream.expect_end()
     select = _resolve_select(select_items, builder, text)
     if len(branches) > 1:
@@ -501,8 +504,9 @@ def _parse_query(stream, model, text, label):
 # -- write statements ------------------------------------------------------
 
 
-def _parse_settings(stream, entity, text):
-    """Parse ``field = ?param`` assignments for INSERT/UPDATE SET clauses."""
+def _parse_settings(stream, entity, text, update=False):
+    """Parse ``field = ?param`` assignments for INSERT/UPDATE SET clauses;
+    an UPDATE may not assign the primary key."""
     settings = {}
     while True:
         components, offset = _parse_dotted_names(stream)
@@ -518,6 +522,8 @@ def _parse_settings(stream, entity, text):
             raise ParseError(
                 f"entity {entity.name!r} has no attribute {field_name!r}",
                 text, offset)
+        if update and field is entity.id_field:
+            raise ParseError("cannot UPDATE a primary key", text, offset)
         stream.expect("op", "=")
         settings[field] = _parse_parameter(stream, field.name)
         if stream.accept("punct", ",") is None:
@@ -581,7 +587,7 @@ def _parse_update(stream, model, text, label):
                 "entity", text, from_offset)
         builder.extend(from_names[1:], from_offset)
     stream.expect_keyword("SET")
-    settings = _parse_settings(stream, entity, text)
+    settings = _parse_settings(stream, entity, text, update=True)
     branches = _parse_where(stream, builder)
     conditions = _require_conjunctive(stream, branches, "UPDATE statements")
     stream.expect_end()
@@ -625,8 +631,10 @@ def parse_statement(model, text, label=None):
     instance; raises :class:`~repro.exceptions.ParseError` on malformed
     input or references that do not resolve against the model.  Errors
     in non-empty text carry the source line/column and a caret pointing
-    at the offending token; the statement's own validation errors point
-    at the WHERE keyword, or at the end of input when there is none.
+    at the offending token.  A primary key in an UPDATE's SET clause and
+    a zero LIMIT are caught at their own tokens; the statement's other
+    validation errors point at the WHERE keyword, or at the end of input
+    when there is none.
     """
     tokens = _tokenize(text)
     if not tokens:

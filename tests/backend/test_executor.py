@@ -262,3 +262,90 @@ def test_load_equals_one_put_per_materialized_row(application):
     assert loaded == count
     assert _records(engine.store) == _records(sequential)
     assert engine.store.metrics.snapshot() == Store().metrics.snapshot()
+
+
+def test_shared_parameter_only_lookups_leave_rows_unchanged(engine_setup):
+    """A lookup keyed by parameters alone passes on the store's or the
+    transaction cache's own row list.  Running such a query twice in one
+    transaction must give equal answers, from one set of gets, and leave
+    the cached and the stored rows as they were."""
+    model, workload, dataset, engine = engine_setup
+    sharing = ExecutionEngine(model, engine.recommendation, dataset,
+                              share_reads=True)
+    sharing.load()
+    stored = {key: [(row, dict(row)) for row in cf.rows()]
+              for key, cf in sharing.store.column_families.items()}
+    requests = [
+        ("guest_by_id", {"guest": 2}),
+        ("pois_for_hotel", {"hotel": 1}),
+        ("hotels_by_location", {"city": "city-0", "state": "S0"}),
+        ("guests_in_city_above_rate", {"city": "city-0", "rate": 200.0}),
+    ]
+    fixed = 0
+    for label, params in requests:
+        query = workload.statements[label]
+        program = sharing._programs[sharing._query_plans[label]]
+        _run, lookup = program.branches[0][0]
+        fixed += lookup.parameters is not None
+        with sharing.transaction():
+            first = _check(sharing, dataset, query, params)
+            cache = sharing._transaction_cache
+            cached = {request: (rows, [dict(row) for row in rows])
+                      for request, rows in cache.items()}
+            gets = sharing.store.metrics.gets
+            assert sharing.execute_query(query, params) == first
+            assert sharing.store.metrics.gets == gets
+            assert cache.keys() == cached.keys()
+            for request, (rows, copies) in cached.items():
+                assert cache[request] is rows and rows == copies
+    assert fixed >= 3
+    for key, cf in sharing.store.column_families.items():
+        rows = list(cf.rows())
+        assert len(rows) == len(stored[key])
+        for row, (original, copy) in zip(rows, stored[key]):
+            assert row is original and row == copy
+
+
+@pytest.mark.parametrize("where, steps", [
+    ("", ["IndexLookupStep", "SortStep", "LimitStep"]),
+    ("AND Room.RoomRate > ?rate ",
+     ["IndexLookupStep", "FilterStep", "SortStep", "LimitStep"]),
+])
+def test_steps_after_a_shared_lookup_copy_its_rows(engine_setup, where,
+                                                   steps):
+    """Filter, sort and limit over a parameter-only lookup build new
+    lists: the rows the lookup passes on are the transaction cache's
+    own, so sorting them in place would reorder the cached answer."""
+    from types import SimpleNamespace
+
+    from repro.indexes import Index
+    from repro.planner import QueryPlanner
+    from repro.workload import parse_statement
+    model, _workload, dataset, _engine = engine_setup
+    query = parse_statement(
+        model, "SELECT Room.RoomNumber, Room.RoomRate FROM Room.Hotel "
+        f"WHERE Hotel.HotelCity = ?city {where}"
+        "ORDER BY Room.RoomRate LIMIT 3")
+    hotel, room = model.entity("Hotel"), model.entity("Room")
+    index = Index([hotel.fields["HotelCity"]], [room.id_field],
+                  [room.fields["RoomNumber"], room.fields["RoomRate"]],
+                  query.key_path)
+    (plan,) = QueryPlanner(model, [index]).plans_for(query)
+    assert [type(step).__name__ for step in plan.steps] == steps
+    recommendation = SimpleNamespace(query_plans={}, update_plans={},
+                                     indexes=[index])
+    sharing = ExecutionEngine(model, recommendation, dataset,
+                              share_reads=True)
+    sharing.load()
+    params = {"city": "city-0", "rate": 150.0}
+    with sharing.transaction():
+        first = sharing.execute_query(query, params, plan=plan)
+        (rows,) = sharing._transaction_cache.values()
+        copies = [dict(row) for row in rows]
+        assert sharing.execute_query(query, params, plan=plan) == first
+        assert rows == copies
+    rates = [row["Room.RoomRate"] for row in first]
+    assert len(first) == 3 and rates == sorted(rates)
+    # the cached rows arrive in RoomID order, not RoomRate order
+    assert [row["Room.RoomRate"] for row in rows] \
+        != sorted(row["Room.RoomRate"] for row in rows)

@@ -238,3 +238,24 @@ def test_validation_errors_are_positioned(hotel, text, message, where):
     else:
         assert error.offset == text.index(where)
     assert "(in statement:" not in str(error)
+
+
+@pytest.mark.parametrize("text, message, column, token", [
+    # an UPDATE may not assign the primary key: point at the assignment
+    ("UPDATE Guest SET GuestID = ? WHERE Guest.GuestID = ?",
+     "cannot UPDATE a primary key", 18, "GuestID ="),
+    ("UPDATE Guest SET GuestName = ?, Guest.GuestID = ? "
+     "WHERE Guest.GuestID = ?", "cannot UPDATE a primary key", 33,
+     "Guest.GuestID ="),
+    # a zero LIMIT: point at the number, not at WHERE
+    ("SELECT Guest.GuestName FROM Guest WHERE Guest.GuestID = ? LIMIT 0",
+     "LIMIT must be positive", 65, "0"),
+])
+def test_constructor_errors_point_at_their_own_clause(hotel, text,
+                                                      message, column,
+                                                      token):
+    with pytest.raises(ParseError, match=re.escape(message)) as caught:
+        parse_statement(hotel, text)
+    assert caught.value.line == 1
+    assert caught.value.column == column
+    assert text[column - 1:].startswith(token)
