@@ -22,7 +22,9 @@ class Dataset:
 
     def __init__(self, model):
         self.model = model
-        #: entity name -> {id value: {field_id: value}}
+        #: entity name -> {id value: {field_id: value}}; each entity's
+        #: dict is changed in place, never replaced, so an execution
+        #: engine may hold on to it
         self.rows = {name: {} for name in model.entities}
         #: entity name -> rows deleted so far, so a cached key list can
         #: tell a delete plus an insert from no change at all
@@ -192,6 +194,26 @@ class Dataset:
                       for source in links.get(row[0], ())]
         return tuples
 
+    def anchored_tuples(self, path, positions, anchor_ids):
+        """The join tuples along ``path`` holding one of ``anchor_ids`` at
+        any of ``positions``, each once, in the order first produced.
+
+        A path may visit the anchor entity more than once (e.g.
+        ``E2.R8To4.R6From1.R4To2`` both starts and ends at E2);
+        anchoring only at the first occurrence would miss join rows
+        that pass through a later one — found by the differential
+        oracle as lost maintenance rows on inserts — so the expansion
+        anchors at every occurrence and deduplicates.
+        """
+        seen = set()
+        tuples = []
+        for position in positions:
+            for ids in self.join_tuples(path, position, anchor_ids):
+                if ids not in seen:
+                    seen.add(ids)
+                    tuples.append(ids)
+        return tuples
+
     # -- statement evaluation --------------------------------------------------------
 
     def matching_ids(self, statement, params):
@@ -208,14 +230,20 @@ class Dataset:
         anchor_position, anchor_ids = self._best_anchor(
             statement, params, path)
         tuples = self.join_tuples(path, anchor_position, anchor_ids)
-        branches = statement.disjuncts
+        if not tuples:
+            return tuples
+        # each predicate resolved once: where its value sits in a join
+        # row, and its matcher bound to ``params``
+        branches = [[(path.index_of(condition.field.parent),
+                      condition.field.id, condition.matcher(params))
+                     for condition in branch]
+                    for branch in statement.disjuncts]
+        entity_rows = [self.rows[entity.name] for entity in path.entities]
 
         def satisfies(row, branch):
-            for condition in branch:
-                position = path.index_of(condition.field.parent)
-                value = self.rows[path.entities[position].name][
-                    row[position]].get(condition.field.id)
-                if not condition.matches(value, condition.bind(params)):
+            for position, field_id, matches in branch:
+                if not matches(
+                        entity_rows[position][row[position]].get(field_id)):
                     return False
             return True
 
@@ -249,10 +277,10 @@ class Dataset:
         for position, conditions in scans.items():
             survivors = self.rows[path.entities[position].name].items()
             for condition in conditions:
-                field_id, matches = condition.field.id, condition.matches
-                bound = condition.bind(params)
+                field_id = condition.field.id
+                matches = condition.matcher(params)
                 survivors = [(key, row) for key, row in survivors
-                             if matches(row.get(field_id), bound)]
+                             if matches(row.get(field_id))]
             anchors.append((position, [key for key, _ in survivors]))
         return min(anchors, key=lambda anchor: len(anchor[1]),
                    default=(None, None))
@@ -361,31 +389,28 @@ def materialize_rows(dataset, index, anchor_entity=None, anchor_ids=None):
     """Rows of a column family: the path join projected onto its fields.
 
     With an anchor, only the join rows containing the given entity IDs
-    are produced (the rows an update touches).  A path may visit the
-    anchor entity more than once (e.g. ``E2.R8To4.R6From1.R4To2`` both
-    starts and ends at E2); anchoring only at the first occurrence
-    would miss join rows that pass through a later one — found by the
-    differential oracle as lost maintenance rows on inserts — so the
-    expansion anchors at every occurrence and deduplicates.
+    are produced (the rows an update touches), at every position where
+    the path visits the anchor entity (see :meth:`Dataset.anchored_tuples`).
     """
     path = index.path
     if anchor_entity is None:
         tuples = dataset.join_tuples(path)
     else:
-        positions = [position
-                     for position, entity in enumerate(path.entities)
-                     if entity is anchor_entity]
-        if not positions:
-            return []
-        seen = set()
-        tuples = []
-        for position in positions:
-            for ids in dataset.join_tuples(path, position, anchor_ids):
-                if ids not in seen:
-                    seen.add(ids)
-                    tuples.append(ids)
+        tuples = dataset.anchored_tuples(
+            path, path.positions_of(anchor_entity), anchor_ids)
     sources, columns = index.projection
     lookups = [(position, dataset.rows[name]) for position, name in sources]
+    return project_rows(lookups, columns, tuples)
+
+
+def project_rows(lookups, columns, tuples):
+    """One record per join-row ID tuple, as a dict in the column
+    family's column order; a tuple whose row is gone produces none.
+
+    ``columns`` is the second half of ``Index.projection``, and
+    ``lookups`` its first half with each entity name resolved to the
+    dataset's row dict.
+    """
     rows = []
     for ids in tuples:
         found = []
@@ -395,7 +420,6 @@ def materialize_rows(dataset, index, anchor_entity=None, anchor_ids=None):
                 break
             found.append(source)
         else:
-            # one dict per record, in the column family's column order
             row = {}
             for field_id, slot in columns:
                 row[field_id] = found[slot].get(field_id)

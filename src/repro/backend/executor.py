@@ -22,7 +22,7 @@ import itertools
 from operator import itemgetter
 
 from repro import telemetry
-from repro.backend.dataset import materialize_rows
+from repro.backend.dataset import materialize_rows, project_rows
 from repro.backend.store import Store
 from repro.exceptions import ExecutionError
 from repro.planner.plans import UnionPlan
@@ -69,9 +69,11 @@ class ExecutionEngine:
         self.update_protocol = update_protocol
         self._transaction_cache = None
         self._query_plans = {}
-        self._update_plans = {}
         #: chosen support plans per update label, in execution order
         self._support_plans = {}
+        #: update label -> one :class:`_Maintenance` per column family
+        #: the update modifies, shared per (column family, anchor entity)
+        self._maintenance = {}
         #: plan -> :class:`_Program`; every recommended plan is compiled
         #: here, once, so requests only bind parameters and move rows
         self._programs = {}
@@ -84,15 +86,23 @@ class ExecutionEngine:
             self._register(query)
             self._query_plans[query.label] = plan
             self._compile(plan)
+        shared = {}
         for update, plans in recommendation.update_plans.items():
             self._register(update)
-            self._update_plans[update.label] = plans
             support = [support_plans[0] for update_plan in plans
                        for support_plans
                        in update_plan.support_plans_by_query.values()]
             for plan in support:
                 self._compile(plan)
             self._support_plans[update.label] = support
+            maintained = []
+            for plan in plans:
+                key = (plan.index.key, update.entity.name)
+                if key not in shared:
+                    shared[key] = _Maintenance(plan.index, update.entity,
+                                               dataset)
+                maintained.append(shared[key])
+            self._maintenance[update.label] = maintained
 
     def _register(self, statement):
         label = statement.label
@@ -409,7 +419,7 @@ class ExecutionEngine:
         return results
 
     def _filter(self, conditions, params, bindings):
-        # Condition.matches applies the canonical NULL rule (see
+        # a matcher applies the canonical NULL rule (see
         # repro.workload.semantics), so a missing/None stored value can
         # still satisfy an equality against a None parameter and never
         # satisfies a range — the same rule the reference interpreter
@@ -417,10 +427,9 @@ class ExecutionEngine:
         for field_id, condition in conditions:
             if not bindings:
                 break
-            matches = condition.matches
-            bound = condition.bind(params)
+            matches = condition.matcher(params)
             bindings = [binding for binding in bindings
-                        if matches(binding.get(field_id), bound)]
+                        if matches(binding.get(field_id))]
         return bindings
 
     def _sort(self, field_ids, params, bindings):
@@ -452,30 +461,28 @@ class ExecutionEngine:
         return self._execute_update(update, params)
 
     def _execute_update(self, update, params):
-        plans = self._update_plans.get(update.label, [])
         for chosen in self._support_plans.get(update.label, ()):
             self.execute_query(chosen.query, params, plan=chosen)
-        anchor_entity, anchor_ids = self._anchor_for(update, params)
-        before = {}
-        for update_plan in plans:
-            before[update_plan.index.key] = materialize_rows(
-                self.dataset, update_plan.index, anchor_entity, anchor_ids)
         # the anchor IDs are the IDs the statement affects: an UPDATE's
         # or DELETE's matches, computed once
+        anchor_ids = self._anchor_ids(update, params)
+        if not anchor_ids:
+            # nothing matched: the dataset and every record stay as they
+            # are, so the support queries were all the work there was
+            return 0
+        maintained = self._maintenance.get(update.label, ())
+        before = [maintenance.rows(anchor_ids) for maintenance in maintained]
         self.dataset.apply(update, params, matching=anchor_ids)
         changed = 0
-        for update_plan in plans:
-            index = update_plan.index
-            column_family = self.store[index.key]
-            after = materialize_rows(self.dataset, index, anchor_entity,
-                                     anchor_ids)
-            old_rows = {column_family.row_key(row): row
-                        for row in before[index.key]}
-            new_rows = {column_family.row_key(row): row for row in after}
+        for maintenance, old in zip(maintained, before):
+            column_family = self.store[maintenance.key]
+            row_key = column_family.row_key
+            old_rows = {row_key(row): row for row in old}
+            new_rows = {row_key(row): row
+                        for row in maintenance.rows(anchor_ids)}
             vanished = {key: row for key, row in old_rows.items()
                         if key not in new_rows}
-            still_alive = self._rows_still_derivable(
-                index, column_family, vanished, anchor_entity)
+            still_alive = maintenance.still_derivable(row_key, vanished)
             if self.update_protocol == "nose":
                 # the paper's protocol: remove records for the old data,
                 # then insert records corresponding to the new data
@@ -496,49 +503,15 @@ class ExecutionEngine:
                 changed += column_family.put_many(to_put)
         return changed
 
-    def _rows_still_derivable(self, index, column_family, vanished,
-                              anchor_entity):
-        """Rows among ``vanished`` that other join rows still produce.
-
-        When a column family's record key does not include the anchor
-        entity's ID (e.g. grouped views keyed only by the result
-        entity), a record that stopped being derivable *through the
-        anchor* may still be derivable through other join rows — it
-        must be kept, with freshly materialized values.  Returns
-        ``{key: fresh row}`` for such records.
-        """
-        if not vanished or len(index.path) == 1:
-            return {}
-        key_ids = {field.id for field in index.key_fields}
-        if anchor_entity is not None \
-                and anchor_entity.id_field.id in key_ids:
-            # every record key pins a specific anchor row, so the
-            # anchored recomputation was already authoritative
-            return {}
-        check_field = next(
-            (entity.id_field for entity in index.path.entities
-             if entity is not anchor_entity
-             and entity.id_field.id in key_ids), None)
-        if check_field is not None:
-            check_ids = sorted({row[check_field.id]
-                                for row in vanished.values()
-                                if row.get(check_field.id) is not None})
-            fresh = materialize_rows(self.dataset, index,
-                                     check_field.parent, check_ids)
-        else:  # pragma: no cover - keys without any entity ID are rare
-            fresh = materialize_rows(self.dataset, index)
-        return {key: row for row in fresh
-                for key in [column_family.row_key(row)]
-                if key in vanished}
-
-    def _anchor_for(self, update, params):
-        """Entity (and IDs) whose join neighbourhood the update touches."""
+    def _anchor_ids(self, update, params):
+        """IDs of the anchor entity, ``update.entity``, whose join
+        neighbourhood the update touches."""
         if isinstance(update, Insert):
             id_parameter = update.settings[update.entity.id_field]
-            return update.entity, [params[id_parameter]]
+            return [params[id_parameter]]
         if isinstance(update, Connect):
-            return update.entity, [params[update.source_parameter]]
-        return update.entity, self.dataset.matching_ids(update, params)
+            return [params[update.source_parameter]]
+        return self.dataset.matching_ids(update, params)
 
 
 class _Program:
@@ -628,3 +601,70 @@ class _Fold:
             (aggregate.output_id, aggregate.func,
              None if aggregate.field is None else aggregate.field.id)
             for aggregate in step.aggregates)
+
+
+class _Maintenance:
+    """Row-level maintenance of one column family by the updates
+    anchored at one entity, resolved once per engine.
+
+    ``positions`` are where the path visits the anchor entity, and
+    ``lookups`` the index projection's sources resolved to the
+    dataset's row dicts.  A record that stops being derivable through
+    the anchor may still be derivable through other join rows when the
+    record key does not pin an anchor row (e.g. grouped views keyed
+    only by the result entity); such records must be kept, with
+    freshly materialized values.  ``check`` is None when that cannot
+    happen — a single-entity path, or a record key holding the
+    anchor's ID, which makes the anchored recomputation authoritative
+    — and otherwise ``(field id, positions)`` of another path entity's
+    ID in the record key, whose rows are re-materialized; ``(None,
+    None)`` for a key without any entity ID re-materializes the whole
+    column family.
+    """
+
+    __slots__ = ("dataset", "index", "key", "positions", "lookups",
+                 "columns", "check")
+
+    def __init__(self, index, anchor_entity, dataset):
+        path = index.path
+        self.dataset = dataset
+        self.index = index
+        self.key = index.key
+        self.positions = path.positions_of(anchor_entity)
+        sources, self.columns = index.projection
+        self.lookups = [(position, dataset.rows[name])
+                        for position, name in sources]
+        key_ids = {field.id for field in index.key_fields}
+        self.check = None
+        if len(path) > 1 and anchor_entity.id_field.id not in key_ids:
+            check_field = next(
+                (entity.id_field for entity in path.entities
+                 if entity is not anchor_entity
+                 and entity.id_field.id in key_ids), None)
+            self.check = (None, None) if check_field is None else (
+                check_field.id, path.positions_of(check_field.parent))
+
+    def rows(self, anchor_ids, positions=None):
+        """The records whose join rows hold one of ``anchor_ids`` at the
+        anchor's positions (or at ``positions``)."""
+        tuples = self.dataset.anchored_tuples(
+            self.index.path,
+            self.positions if positions is None else positions, anchor_ids)
+        return project_rows(self.lookups, self.columns, tuples)
+
+    def still_derivable(self, row_key, vanished):
+        """``{key: fresh row}`` for the records among ``vanished`` (keyed
+        by ``row_key``) that other join rows still produce."""
+        if not vanished or self.check is None:
+            return {}
+        field_id, positions = self.check
+        if field_id is None:  # pragma: no cover - keys without any ID
+            fresh = materialize_rows(self.dataset, self.index)
+        else:
+            fresh = self.rows(sorted({row[field_id]
+                                      for row in vanished.values()
+                                      if row.get(field_id) is not None}),
+                              positions)
+        return {key: row for row in fresh
+                for key in [row_key(row)]
+                if key in vanished}

@@ -120,14 +120,23 @@ def model_to_dict(model):
 
 
 def model_from_dict(document):
-    """Rebuild a conceptual model from the document format."""
+    """Rebuild a conceptual model from the document format.
+
+    A value the model constructors reject (an empty name, a count below
+    1) raises a :class:`ModelError` naming its document path, e.g.
+    ``model.entities[0].count``.
+    """
     try:
         model = Model(document.get("name", "model"))
-        for spec in document["entities"]:
-            entity = Entity(spec["name"], count=spec.get("count", 1))
+        for number, spec in enumerate(document["entities"]):
+            where = f"model.entities[{number}]"
+            # Entity checks its name before its count
+            checked = "count" if _is_name(spec["name"]) else "name"
+            entity = _built(f"{where}.{checked}", Entity, spec["name"],
+                            count=spec.get("count", 1))
             if spec.get("id"):
-                entity.add_field(IDField(spec["id"]))
-            for field_spec in spec.get("fields", []):
+                entity.add_field(_built(f"{where}.id", IDField, spec["id"]))
+            for slot, field_spec in enumerate(spec.get("fields", [])):
                 field_type = _FIELD_TYPES.get(
                     field_spec.get("type", "string"))
                 if field_type is None:
@@ -138,21 +147,39 @@ def model_from_dict(document):
                     kwargs["size"] = field_spec["size"]
                 if "cardinality" in field_spec:
                     kwargs["cardinality"] = field_spec["cardinality"]
-                entity.add_field(field_type(field_spec["name"],
-                                            **kwargs))
+                entity.add_field(_built(
+                    f"{where}.fields[{slot}].name", field_type,
+                    field_spec["name"], **kwargs))
             model.add_entity(entity)
-        for spec in document.get("relationships", []):
-            model.add_relationship(
-                spec["from"], spec["forward"], spec["to"],
-                spec["reverse"], kind=spec.get("kind", "one_to_many"),
-                forward_fanout=spec.get("forward_fanout"),
-                reverse_fanout=spec.get("reverse_fanout"),
-                forward_total=spec.get("forward_total", True),
-                reverse_total=spec.get("reverse_total", True))
+        for number, spec in enumerate(document.get("relationships", [])):
+            # the forward edge is built before the reverse one
+            side = "reverse" if _is_name(spec["forward"]) else "forward"
+            _built(f"model.relationships[{number}].{side}",
+                   model.add_relationship,
+                   spec["from"], spec["forward"], spec["to"],
+                   spec["reverse"], kind=spec.get("kind", "one_to_many"),
+                   forward_fanout=spec.get("forward_fanout"),
+                   reverse_fanout=spec.get("reverse_fanout"),
+                   forward_total=spec.get("forward_total", True),
+                   reverse_total=spec.get("reverse_total", True))
         return model.validate()
     except KeyError as missing:
         raise ModelError(
             f"model document is missing key {missing}") from None
+
+
+def _is_name(value):
+    """The model constructors' test of an entity or field name."""
+    return bool(value) and isinstance(value, str)
+
+
+def _built(where, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ``ValueError`` re-raised as a
+    :class:`ModelError` naming the document path ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        raise ModelError(f"{where}: {error}") from None
 
 
 # -- workload ------------------------------------------------------------------

@@ -116,6 +116,11 @@ class KeyPath:
                 return i
         return -1
 
+    def positions_of(self, entity):
+        """Every position of ``entity`` on the path, in order."""
+        return tuple(i for i, path_entity in enumerate(self.entities)
+                     if path_entity is entity)
+
     def includes(self, entity):
         return self.index_of(entity) >= 0
 

@@ -124,6 +124,11 @@ class Condition:
         """
         return semantics.matches(self.operator, value, bound)
 
+    def matcher(self, params):
+        """The predicate bound to ``params``: a ``value -> bool`` closure
+        equivalent to ``matches(value, bind(params))``."""
+        return semantics.matcher(self.operator, self.bind(params))
+
     def __eq__(self, other):
         if not isinstance(other, Condition):
             return NotImplemented

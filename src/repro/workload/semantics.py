@@ -1,12 +1,13 @@
 """Canonical value semantics: the NULL comparison and ordering rules.
 
 One definition shared by every layer that compares or orders attribute
-values — WHERE-clause predicates (:meth:`Condition.matches`), the
-execution engine's client-side filter/sort steps, the record store's
-clustering order and range scans, and the :mod:`repro.verify` reference
-interpreter.  A single rule is what makes differential testing
-meaningful: the executor and the oracle can only be compared if they
-agree on what a missing value means.
+values — WHERE-clause predicates (:meth:`Condition.matches`, and the
+request-bound :func:`matcher` that the execution engine's filter step
+and the dataset's scans call per row), the execution engine's sort
+step, the record store's clustering order and range scans, and the
+:mod:`repro.verify` reference interpreter.  A single rule is what
+makes differential testing meaningful: the executor and the oracle can
+only be compared if they agree on what a missing value means.
 
 The rules, restricted to NoSE's operator set (``= != > >= < <= IN``):
 
@@ -116,6 +117,34 @@ def matches(operator, value, bound):
     if operator == "<=":
         return value <= bound
     raise ValueError(f"unsupported operator {operator!r}")
+
+
+def matcher(operator, bound):
+    """``value -> matches(operator, value, bound)`` with ``bound`` fixed.
+
+    Binds a predicate once per request, so a scan calls one closure per
+    row instead of dispatching on the operator.  Each comparison is
+    spelled as in :func:`matches`, so NULL, NaN and mixed types behave
+    the same; the reference interpreter keeps calling :func:`matches`,
+    so the differential oracle checks the two against each other.
+    """
+    if operator == "=":
+        return lambda value: value == bound
+    if operator == "!=":
+        return lambda value: value != bound
+    if operator == "IN":
+        return lambda value: any(value == member for member in bound)
+    if operator not in (">", ">=", "<", "<="):
+        raise ValueError(f"unsupported operator {operator!r}")
+    if bound is None:
+        return lambda value: False
+    if operator == ">":
+        return lambda value: value is not None and value > bound
+    if operator == ">=":
+        return lambda value: value is not None and value >= bound
+    if operator == "<":
+        return lambda value: value is not None and value < bound
+    return lambda value: value is not None and value <= bound
 
 
 #: aggregate function names accepted by the statement language

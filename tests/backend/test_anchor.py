@@ -97,3 +97,43 @@ def test_two_predicates_on_one_entity_narrow_one_scan(guests):
         delete, {"name": "g0", "email": "g2@x"}) == [2]
     assert dataset.matching_ids(
         delete, {"name": "g1", "email": "g2@x"}) == []
+
+
+@pytest.fixture()
+def sparse_guests(guests):
+    """The four guests plus one whose name and email are NULL and one
+    stored without a name at all."""
+    model, dataset = guests
+    dataset.add_row("Guest", {"GuestID": 4, "GuestName": None,
+                              "GuestEmail": None})
+    dataset.add_row("Guest", {"GuestID": 5, "GuestEmail": "g5@x"})
+    return model, dataset
+
+
+@pytest.mark.parametrize("where, params, expected", [
+    ("Guest.GuestName != ?name", {"name": "g0"}, [1, 3, 4, 5]),
+    ("Guest.GuestName != ?name", {"name": None}, [0, 1, 2, 3]),
+    ("Guest.GuestName = ?name", {"name": None}, [4, 5]),
+    ("Guest.GuestName IN (?a, ?b)", {"a": "g0", "b": None}, [0, 2, 4, 5]),
+    ("Guest.GuestName IN (?a, ?b)", {"a": None, "b": None}, [4, 5]),
+    ("Guest.GuestID IN (?a, ?b)", {"a": 1, "b": 3}, [1, 3]),
+    ("Guest.GuestID IN (?a, ?b)", {"a": 1, "b": 1}, [1]),
+    ("Guest.GuestID IN (?a, ?b)", {"a": None, "b": 2}, [2]),
+    ("Guest.GuestID IN (?a, ?b)", {"a": 7, "b": 8}, []),
+    ("Guest.GuestEmail > ?email", {"email": "g1@x"}, [2, 3, 5]),
+    ("Guest.GuestEmail > ?email", {"email": None}, []),
+    ("Guest.GuestID <= ?top", {"top": 2}, [0, 1, 2]),
+    ("Guest.GuestID <= ?top", {"top": None}, []),
+    ("Guest.GuestID = ?guest AND Guest.GuestName != ?name",
+     {"guest": 4, "name": "g0"}, [4]),
+    ("Guest.GuestID = ?guest AND Guest.GuestName != ?name",
+     {"guest": 0, "name": "g0"}, []),
+    ("Guest.GuestName IN (?a, ?b) AND Guest.GuestEmail >= ?email",
+     {"a": "g1", "b": None, "email": "g3@x"}, [3, 5]),
+])
+def test_operators_and_null_bindings(sparse_guests, where, params,
+                                     expected):
+    model, dataset = sparse_guests
+    delete = parse_statement(model, f"DELETE FROM Guest WHERE {where}")
+    assert dataset.matching_ids(delete, params) == expected
+    assert _full_join_ids(dataset, delete, params) == expected

@@ -95,3 +95,62 @@ def test_connect_is_idempotent_in_store(setup):
     engine.execute_update(connect, {"hotel": 2, "poi": new_poi})
     second = _poi_names(engine, workload, dataset, 2)
     assert first == second
+
+
+@pytest.fixture()
+def guest_writes():
+    model = hotel_model(scale=0.02)
+    workload = Workload(model)
+    workload.add_statement(
+        "SELECT Guest.GuestName, Guest.GuestEmail FROM Guest "
+        "WHERE Guest.Reservations.Room.Hotel.HotelCity = ?city",
+        weight=5.0, label="guests_in_city")
+    workload.add_statement(
+        "SELECT Guest.GuestName FROM Guest WHERE Guest.GuestID = ?guest",
+        weight=5.0, label="guest_name")
+    workload.add_statement(
+        "UPDATE Guest SET GuestName = ?name "
+        "WHERE Guest.GuestEmail = ?email",
+        weight=1.0, label="rename_by_email")
+    workload.add_statement(
+        "DELETE FROM Guest WHERE Guest.GuestEmail = ?email",
+        weight=1.0, label="forget_by_email")
+    dataset = hotel_dataset(model, seed=42)
+    dataset.sync_counts()
+    recommendation = Advisor(model).recommend(workload)
+    engine = ExecutionEngine(model, recommendation, dataset)
+    engine.load()
+    return workload, recommendation, dataset, engine
+
+
+def _contents(engine):
+    return {key: list(column_family.rows())
+            for key, column_family in engine.store.column_families.items()}
+
+
+@pytest.mark.parametrize("label", ["rename_by_email", "forget_by_email"])
+def test_a_write_matching_nothing_costs_only_its_support_gets(
+        guest_writes, label):
+    workload, recommendation, dataset, engine = guest_writes
+    update = workload.statements[label]
+    params = {"email": "nobody@nowhere", "name": "renamed"}
+    assert dataset.matching_ids(update, params) == []
+    support = [plans[0] for update_plan in recommendation.update_plans[update]
+               for plans in update_plan.support_plans_by_query.values()]
+    metrics = engine.store.metrics
+    start = metrics.snapshot()
+    for plan in support:
+        engine.execute_query(plan.query, params, plan=plan)
+    reads = metrics.snapshot()
+    rows, links = dataset.copy().rows, dataset.copy().links
+    contents = _contents(engine)
+    assert engine.execute_update(update, params) == 0
+    end = metrics.snapshot()
+    assert dataset.rows == rows and dataset.links == links
+    assert _contents(engine) == contents
+    charged = {name: end[name] - reads[name] for name in end}
+    # the same operations; simulated_ms differs only by rounding
+    assert charged == pytest.approx(
+        {name: reads[name] - start[name] for name in end})
+    assert charged["gets"] > 0
+    assert charged["puts"] == charged["deletes"] == 0

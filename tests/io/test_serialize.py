@@ -1,6 +1,7 @@
 """Tests for JSON (de)serialization of models and workloads."""
 
 import json
+import re
 
 import pytest
 
@@ -170,3 +171,34 @@ def test_load_application_errors_name_the_path(tmp_path, text, error,
         load_application(path)
     assert message in str(caught.value)
     assert str(path) in str(caught.value)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("model.entities[0].count", 0, "entity count must be at least 1"),
+    ("model.entities[0].name", "", "entity name must be a non-empty string"),
+    ("model.entities[0].id", 5, "field name must be a non-empty string"),
+    ("model.entities[1].fields[0].name", "",
+     "field name must be a non-empty string"),
+    ("model.relationships[0].forward", "",
+     "field name must be a non-empty string"),
+    ("model.relationships[0].reverse", None,
+     "field name must be a non-empty string"),
+])
+def test_rejected_model_values_name_their_document_path(tmp_path, where,
+                                                        value, message):
+    document = {"model": model_to_dict(hotel_model()),
+                "workload": {"statements": []}}
+    steps = [int(index) if index else key
+             for key, index in re.findall(r"\.(\w+)|\[(\d+)\]", where)]
+    target = document["model"]
+    for step in steps[:-1]:
+        target = target[step]
+    target[steps[-1]] = value
+    with pytest.raises(ModelError) as caught:
+        model_from_dict(document["model"])
+    assert str(caught.value) == f"{where}: {message}"
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ModelError) as caught:
+        load_application(path)
+    assert str(caught.value) == f"{path}: {where}: {message}"
