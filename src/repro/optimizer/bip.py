@@ -22,12 +22,13 @@ solve runs with HiGHS's feasibility-jump heuristic switched off
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro import telemetry
+from repro import dominance, telemetry
 from repro.exceptions import OptimizationError
 from repro.explain import solver_ledger
 from repro.optimizer.results import SchemaRecommendation
@@ -374,12 +375,106 @@ class _Program(SelectionProgram):
         self._phase2_groups = None
         self._add_block(problem.query_classes, problem.update_classes,
                         problem.class_weight, self.index_column)
+        #: {column phase 1 fixes at 0: its dominator's} (:meth:`_dominated`)
+        self.dominated = self._dominated()
         active = telemetry.current()
         if active.enabled:
+            active.gauge("bip.dominated_columns", len(self.dominated))
             active.gauge("bip.columns", self.columns)
             active.gauge("bip.binary_columns", self.binaries)
             active.gauge("bip.rows", len(self._lower))
             active.gauge("bip.nonzeros", len(self._entries))
+
+    def _dominated(self):
+        """Dominated twin candidates: ``{B's column: A's column}``.
+
+        Candidate B is dominated by candidate A when (1) both have the
+        same path, field set and size; (2) every update class maintains
+        both or neither, at equal update cost, and their support
+        queries pair up, each pair's plans giving the same set of
+        (cost, column-family set) pairs; and (3) every plan reading B,
+        in any choose-one row or gate, has a twin in that row whose
+        column-family set is its own with B replaced by A, at no
+        greater cost.  With no negative cost, any
+        schema holding B then costs no less than the one holding A
+        instead, at no greater size or column-family count, whatever
+        the weights and space limit.  Each B maps to a dominator A that
+        is not fixed itself, so fixing every B at 0 keeps an optimum; of
+        mutual twins the first in candidate order is kept.  Empty when a
+        plan or update cost is negative.
+        """
+        groups = {}
+        for index in self.indexes:
+            groups.setdefault((index.path.signature, index.all_field_ids),
+                              []).append(index)
+        groups = [group for group in groups.values() if len(group) > 1]
+        if not groups or any(cost < 0.0 for charges in self._charges
+                             for _column, _statement, cost in charges):
+            return {}
+        # rules 1 and 3 first, which rule out most pairs: peers[b] keeps
+        # each A not yet ruled out, and twins each B with one left
+        size = {index.key: index.size
+                for group in groups for index in group}
+        peers = {b.key: [a.key for a in group if a is not b
+                         and size[a.key] == size[b.key]]
+                 for group in groups for b in group}
+        twins = {key for key, others in peers.items() if others}
+        updates = list(self.problem.update_classes.values())
+        rows = list(self.problem.query_classes.values())
+        rows.extend(plans for update_plans in updates
+                    for update_plan in update_plans
+                    for plans in update_plan.support_plans_by_query.values())
+        keys_of = dominance.plan_keys
+        for plans in rows:
+            cost_of = None
+            for plan in plans:
+                keys = keys_of(plan)
+                if twins.isdisjoint(keys):
+                    continue
+                if cost_of is None:
+                    # pruned spaces hold one plan per column-family set;
+                    # where one holds more, the last plan's cost only
+                    # makes the test stricter
+                    cost_of = {keys_of(other): other.cost
+                               for other in plans}
+                for b in keys & twins:
+                    peers[b] = [a for a in peers[b]
+                                if cost_of.get(keys - {b} | {a},
+                                               np.inf) <= plan.cost]
+                    if not peers[b]:
+                        twins.discard(b)
+        # rule 2 for the pairs left
+        upkeep = {key: [] for b in twins for key in (b, *peers[b])}
+        for number, update_plans in enumerate(updates):
+            for update_plan in update_plans:
+                if update_plan.index.key in upkeep:
+                    spaces = update_plan.support_plans_by_query.values()
+                    upkeep[update_plan.index.key].append(
+                        (number, update_plan.update_cost, Counter(
+                            frozenset((plan.cost, keys_of(plan))
+                                      for plan in plans)
+                            for plans in spaces)))
+        for b in list(twins):
+            peers[b] = [a for a in peers[b] if upkeep[a] == upkeep[b]]
+            if not peers[b]:
+                twins.discard(b)
+
+        def dominator(b, fixed):
+            return next((a for a in peers[b] if a not in fixed), None)
+
+        dominated = {}
+        for group in groups:
+            fixed = set()
+            for b in reversed(group):
+                if b.key not in twins:
+                    continue
+                trial = fixed | {b.key}
+                if all(dominator(c, trial) for c in trial):
+                    fixed = trial
+            dominated.update((self.index_column[b],
+                              self.index_column[dominator(b, fixed)])
+                             for b in fixed)
+        return dict(sorted(dominated.items()))
 
     def _solve_rows(self):
         """The space row, under a space limit: selected sizes sum to
@@ -491,8 +586,13 @@ class _Program(SelectionProgram):
         with active.span("bip_solving"):
             options = {"mip_rel_gap": mip_rel_gap,
                        "time_limit": time_limit}
+            # the dominance argument holds for non-negative costs only
+            upper = None
+            if self.dominated and min(self.costs) >= 0.0:
+                upper = np.ones(self.columns)
+                upper[list(self.dominated)] = 0.0
             result = self._solve(self.costs, self._matrix(), options,
-                                 seeded=True)
+                                 upper=upper, seeded=True)
             best_cost = float(np.asarray(self.costs) @ result.x)
             if minimize_schema_size:
                 phase1_seconds = time.perf_counter() - solve_started

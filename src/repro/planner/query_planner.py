@@ -198,13 +198,6 @@ class QueryPlanner:
         return {query: self.plans_for(query, require=require)
                 for query in queries}
 
-    def best_plan(self, query, cost_model):
-        """Cost all plans and return the cheapest one."""
-        plans = self.plans_for(query)
-        for plan in plans:
-            cost_model.cost_plan(plan)
-        return min(plans, key=lambda p: p.cost)
-
     # -- pool access ----------------------------------------------------------
 
     def segment_indexes(self, segment):

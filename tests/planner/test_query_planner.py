@@ -174,18 +174,6 @@ def test_client_sort_requires_order_fields_available(hotel):
         assert "Room.RoomRate" in available
 
 
-def test_best_plan_uses_cost_model(hotel):
-    from repro.cost import SimpleCostModel
-    query = parse_statement(hotel, FIG3)
-    planner = _planner_for(hotel, query)
-    best = planner.best_plan(query, SimpleCostModel())
-    others = planner.plans_for(query)
-    cost_model = SimpleCostModel()
-    for plan in others:
-        cost_model.cost_plan(plan)
-    assert best.cost == min(plan.cost for plan in others)
-
-
 def test_filter_applied_when_attribute_stored(hotel):
     query = parse_statement(
         hotel,
