@@ -92,8 +92,7 @@ def _random_schema(problem, rng, key):
 
 def _check_swaps(program, schemas=3, seed=0):
     """For each dominated pair (B, A), swapping B for A in random
-    schemas holding B stays feasible at no greater cost, size or
-    column-family count."""
+    schemas holding B stays feasible at no greater cost."""
     problem = program.problem
     rng = random.Random(seed)
     for b_column, a_column in program.dominated.items():
