@@ -25,6 +25,7 @@ from repro import telemetry
 from repro.backend.dataset import materialize_rows, project_rows
 from repro.backend.store import Store
 from repro.exceptions import ExecutionError
+from repro.model.fields import IDField
 from repro.planner.plans import UnionPlan
 from repro.planner.steps import (
     AggregateStep,
@@ -400,6 +401,7 @@ class ExecutionEngine:
                    for condition in step.conditions]
         width = step.width
         key = step.key
+        joined = step.joined
         results = []
         for binding in bindings:
             for values in itertools.product(*[
@@ -412,6 +414,10 @@ class ExecutionEngine:
                 if rows is None:
                     rows = issued[request] = column_family.get(
                         partition, prefix, range_filter=range_request)
+                if joined:
+                    wanted = tuple(map(binding.__getitem__, joined))
+                    rows = [row for row in rows
+                            if tuple(map(row.get, joined)) == wanted]
                 if binding:
                     results.extend({**binding, **row} for row in rows)
                 else:
@@ -553,10 +559,14 @@ class _Lookup:
     binding carries the column (an earlier lookup fetched it).
     ``parameters`` names the parameter of every key value when no
     binding and no ``IN`` list supplies one, and is None otherwise.
+    ``joined`` names the entity IDs the bindings carry and the column
+    family stores outside the key: a fetched row joins a binding only
+    where they agree, or a fetch keyed by one entity's ID would pair
+    the binding with every other entity in that partition.
     """
 
     __slots__ = ("key", "width", "field_ids", "conditions", "parameters",
-                 "range_condition")
+                 "range_condition", "joined")
 
     def __init__(self, step, query, available):
         index = step.index
@@ -574,6 +584,10 @@ class _Lookup:
                 raise ExecutionError(
                     f"no value available for {field_id} in lookup on "
                     f"{index.key}")
+        self.joined = tuple(
+            field.id for field in index.all_fields
+            if isinstance(field, IDField) and field.id in available
+            and field.id not in self.field_ids)
         self.parameters = None
         if all(condition is not None and not condition.is_membership
                for condition in self.conditions):

@@ -349,3 +349,60 @@ def test_steps_after_a_shared_lookup_copy_its_rows(engine_setup, where,
     # the cached rows arrive in RoomID order, not RoomRate order
     assert [row["Room.RoomRate"] for row in rows] \
         != sorted(row["Room.RoomRate"] for row in rows)
+
+
+def test_fetch_keeps_only_rows_of_the_bound_entities(engine_setup):
+    """A fetch keyed by one entity's ID joins each binding only with the
+    rows that agree on every other entity ID the binding carries.
+
+    Room -> Hotel is to-one, so the planner may fetch a room's rate
+    from a column family over Room.Hotel keyed by RoomID.  Where the
+    data gives a room a second hotel, that partition holds one row per
+    hotel: the fetch must keep the hotel the first lookup bound by
+    name, not pair it with the other hotel's name.
+    """
+    from types import SimpleNamespace
+
+    from repro.indexes import Index
+    from repro.planner import QueryPlanner
+    from repro.planner.steps import IndexLookupStep
+    from repro.workload import parse_statement
+    model, _workload, dataset, _engine = engine_setup
+    query = parse_statement(
+        model, "SELECT Hotel.HotelName FROM Hotel.Rooms "
+        "WHERE Room.RoomNumber = ?number AND Hotel.HotelName = ?name "
+        "AND Room.RoomRate >= ?rate")
+    hotel, room = model.entity("Hotel"), model.entity("Room")
+    path = query.key_path.reverse()
+    by_number = Index([room.fields["RoomNumber"]],
+                      [hotel.fields["HotelName"], hotel.id_field,
+                       room.id_field], [], path)
+    by_room = Index([room.id_field],
+                    [room.fields["RoomRate"], hotel.id_field],
+                    [hotel.fields["HotelName"]], path)
+    (plan,) = [plan for plan
+               in QueryPlanner(model, [by_number, by_room]).plans_for(query)
+               if [step.index for step in plan.steps
+                   if isinstance(step, IndexLookupStep)]
+               == [by_number, by_room]]
+    assert plan.steps[1].is_fetch
+    # link one room to a second hotel
+    broken = dataset.copy()
+    room_id = next(iter(broken.rows["Room"]))
+    room_row = broken.rows["Room"][room_id]
+    (hotel_id,) = broken.related(room.fields["Hotel"], room_id)
+    hotel_row = broken.rows["Hotel"][hotel_id]
+    other = next(other for other, row in broken.rows["Hotel"].items()
+                 if row["Hotel.HotelName"] != hotel_row["Hotel.HotelName"])
+    broken.connect("Room", room_id, room.fields["Hotel"], other)
+    params = {"number": room_row["Room.RoomNumber"],
+              "name": hotel_row["Hotel.HotelName"],
+              "rate": room_row["Room.RoomRate"]}
+    recommendation = SimpleNamespace(query_plans={}, update_plans={},
+                                     indexes=[by_number, by_room])
+    engine = ExecutionEngine(model, recommendation, broken)
+    engine.load()
+    rows = engine.execute_query(query, params, plan=plan)
+    assert {(row["Hotel.HotelName"],) for row in rows} \
+        == broken.evaluate_query(query, params)
+    assert rows == [{"Hotel.HotelName": hotel_row["Hotel.HotelName"]}]
