@@ -13,6 +13,9 @@ handed out.
 identical get requests across the statements of one transaction — the
 correlation knowledge the paper credits the expert schema with (§VII-A's
 discussion of the 100x write mix), which NoSE plans do not assume.
+
+Each of ``observers`` gets one ``executed(statement, label, kind,
+delta)`` call, with the store-metric delta, per statement run.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ class ExecutionEngine:
     """Executes one schema recommendation's plans over a store."""
 
     def __init__(self, model, recommendation, dataset, store=None,
-                 share_reads=False, update_protocol="nose",
-                 recorder=None, monitor=None):
+                 share_reads=False, update_protocol="nose", observers=()):
         if update_protocol not in ("nose", "expert"):
             raise ExecutionError(
                 f"unknown update protocol {update_protocol!r}")
@@ -53,16 +55,7 @@ class ExecutionEngine:
         self.dataset = dataset
         self.store = store or Store()
         self.share_reads = share_reads
-        #: optional flight recorder (see :mod:`repro.profile`)
-        #: receiving per-statement store-metric deltas; also wired into
-        #: the store for per-operation latency observations
-        self.recorder = recorder
-        if recorder is not None:
-            self.store.recorder = recorder
-        #: optional workload monitor (see :mod:`repro.monitor`) fed one
-        #: ``observe_execution`` call per top-level statement
-        self.monitor = monitor
-        self._observe_depth = 0
+        self.observers = tuple(observers)
         #: "nose" follows the paper's §VI-B protocol — delete the records
         #: for the old data, then insert records for the new data;
         #: "expert" upserts only the rows that actually changed (the
@@ -164,37 +157,31 @@ class ExecutionEngine:
 
     # -- observation ---------------------------------------------------------
 
-    def _observed(self, kind, label, run, *args):
-        """Run one statement under the flight-recorder/telemetry hooks.
+    def _observed(self, kind, statement, run, *args):
+        """Run one statement under the observers and telemetry.
 
         Measures the store-metric deltas (rows scanned, partitions
         touched, bytes transferred, maintenance puts/deletes) and the
         simulated-clock delta the statement causes, and publishes them
-        per statement — to the attached recorder and, when telemetry is
+        per statement — to every observer and, when telemetry is
         active, to the process-wide sink as an ``exec.*`` span plus
-        counters and latency histograms.  Support queries executed
-        inside an update are charged to the update, never double-counted
-        under their own label (``_observe_depth`` suppresses nesting).
+        counters and latency histograms.  An update runs its support
+        queries unobserved, so their work is charged to the update and
+        never counted under their own label.
         """
+        label = statement.label or str(statement)
         active = telemetry.current()
         metrics = self.store.metrics
         before = metrics.snapshot()
-        self._observe_depth += 1
-        try:
-            if active.enabled:
-                with active.span(f"exec.{kind}", label=label):
-                    result = run(*args)
-            else:
+        if active.enabled:
+            with active.span(f"exec.{kind}", label=label):
                 result = run(*args)
-        finally:
-            self._observe_depth -= 1
+        else:
+            result = run(*args)
         after = metrics.snapshot()
         delta = {name: after[name] - before[name] for name in after}
-        if self.recorder is not None:
-            self.recorder.record_statement(label, kind, delta)
-        if self.monitor is not None:
-            self.monitor.observe_execution(self._statements.get(label),
-                                           label, kind, delta)
+        for observer in self.observers:
+            observer.executed(statement, label, kind, delta)
         if active.enabled:
             elapsed = delta["simulated_ms"]
             buckets = telemetry.LATENCY_BUCKETS_MS
@@ -219,17 +206,13 @@ class ExecutionEngine:
     def execute_query(self, query, params, plan=None):
         """Run a query plan; returns distinct selected rows as dicts.
 
-        When a flight recorder is attached or telemetry is active, the
-        execution is observed per statement (store-metric deltas,
-        simulated latency); otherwise this is a plain dispatch.
+        With observers or active telemetry the execution is observed
+        (store-metric deltas, simulated latency); otherwise this is a
+        plain dispatch.
         """
-        if self._observe_depth == 0 and (
-                self.recorder is not None
-                or self.monitor is not None
-                or telemetry.current().enabled):
-            return self._observed("query", query.label or str(query),
-                                  self._execute_query, query, params,
-                                  plan)
+        if self.observers or telemetry.current().enabled:
+            return self._observed("query", query, self._execute_query,
+                                  query, params, plan)
         return self._execute_query(query, params, plan)
 
     def _execute_query(self, query, params, plan=None):
@@ -456,19 +439,16 @@ class ExecutionEngine:
         maintenance of every recommended column family it modifies.
 
         Returns the number of store rows written plus deleted.  Observed
-        per statement (support queries included) when a flight recorder
-        is attached or telemetry is active."""
-        if self._observe_depth == 0 and (
-                self.recorder is not None
-                or self.monitor is not None
-                or telemetry.current().enabled):
-            return self._observed("update", update.label or str(update),
-                                  self._execute_update, update, params)
+        as one statement, support queries included, with observers or
+        active telemetry."""
+        if self.observers or telemetry.current().enabled:
+            return self._observed("update", update, self._execute_update,
+                                  update, params)
         return self._execute_update(update, params)
 
     def _execute_update(self, update, params):
         for chosen in self._support_plans.get(update.label, ()):
-            self.execute_query(chosen.query, params, plan=chosen)
+            self._execute_query(chosen.query, params, plan=chosen)
         # the anchor IDs are the IDs the statement affects: an UPDATE's
         # or DELETE's matches, computed once
         anchor_ids = self._anchor_ids(update, params)

@@ -65,14 +65,13 @@ class ColumnFamily:
     LAST), so bisection runs on plain tuple comparison.
     """
 
-    def __init__(self, index, latency, metrics, store=None):
+    def __init__(self, index, store):
         self.index = index
         self.name = index.key
-        self._latency = latency
-        self._metrics = metrics
-        #: owning store, consulted for the optional per-op flight
-        #: recorder (one attribute read per charged operation when
-        #: nothing is recording)
+        self._latency = store.latency
+        self._metrics = store.metrics
+        #: owning store, consulted for its optional recorder (one
+        #: attribute read per charged operation when nothing records)
         self._store = store
         self._hash_ids = tuple(f.id for f in index.hash_fields)
         self._order_ids = tuple(f.id for f in index.order_fields)
@@ -154,8 +153,25 @@ class ColumnFamily:
 
     # -- operations --------------------------------------------------------------
 
-    def _recorder(self):
-        return self._store.recorder if self._store is not None else None
+    def _charge_write(self, kind, rows, changed, partitions):
+        """Meter one ``"put"`` or ``"delete"`` request of ``rows`` rows
+        over ``partitions`` partitions, ``changed`` of them written or
+        removed, and report it to the store's recorder."""
+        metrics = self._metrics
+        if kind == "put":
+            metrics.puts += 1
+            metrics.rows_written += changed
+            elapsed = self._latency.put_time(rows)
+        else:
+            metrics.deletes += 1
+            metrics.rows_deleted += changed
+            elapsed = self._latency.delete_time(rows)
+        metrics.partitions_touched += partitions
+        metrics.simulated_ms += elapsed
+        recorder = self._store.recorder
+        if recorder is not None:
+            recorder.observe_op(self.name, kind, rows=rows,
+                                row_bytes=self._row_bytes, time_ms=elapsed)
 
     def put(self, row, charge=True):
         """Upsert one record (Cassandra put semantics)."""
@@ -163,16 +179,7 @@ class ColumnFamily:
         _write(self._partitions.setdefault(partition, []),
                (row_ordering_key(clustering), self._copy(row)))
         if charge:
-            self._metrics.puts += 1
-            self._metrics.rows_written += 1
-            self._metrics.partitions_touched += 1
-            elapsed = self._latency.put_time(1)
-            self._metrics.simulated_ms += elapsed
-            recorder = self._recorder()
-            if recorder is not None:
-                recorder.observe_op(self.name, "put", rows=1,
-                                    row_bytes=self._row_bytes,
-                                    time_ms=elapsed)
+            self._charge_write("put", 1, 1, 1)
 
     def put_many(self, rows, charge=True):
         """Batch upsert, charged as a single request.  All or nothing: a
@@ -180,16 +187,7 @@ class ColumnFamily:
         grouped = self._grouped(rows, copy=True)
         count = self._write_grouped(grouped)
         if charge and count:
-            self._metrics.puts += 1
-            self._metrics.rows_written += count
-            self._metrics.partitions_touched += len(grouped)
-            elapsed = self._latency.put_time(count)
-            self._metrics.simulated_ms += elapsed
-            recorder = self._recorder()
-            if recorder is not None:
-                recorder.observe_op(self.name, "put", rows=count,
-                                    row_bytes=self._row_bytes,
-                                    time_ms=elapsed)
+            self._charge_write("put", count, count, len(grouped))
         return count
 
     def load(self, rows):
@@ -244,7 +242,7 @@ class ColumnFamily:
             self._metrics.bytes_read += returned_bytes
             elapsed = self._latency.get_time(scanned, returned_bytes)
             self._metrics.simulated_ms += elapsed
-            recorder = self._recorder()
+            recorder = self._store.recorder
             if recorder is not None:
                 recorder.observe_op(self.name, "get", rows=scanned,
                                     returned=len(rows),
@@ -258,16 +256,7 @@ class ColumnFamily:
         absent. Returns True when a record was removed."""
         removed = self._remove(*self._keys_of(row))
         if charge:
-            self._metrics.deletes += 1
-            self._metrics.rows_deleted += 1 if removed else 0
-            self._metrics.partitions_touched += 1
-            elapsed = self._latency.delete_time(1)
-            self._metrics.simulated_ms += elapsed
-            recorder = self._recorder()
-            if recorder is not None:
-                recorder.observe_op(self.name, "delete", rows=1,
-                                    row_bytes=self._row_bytes,
-                                    time_ms=elapsed)
+            self._charge_write("delete", 1, int(removed), 1)
         return removed
 
     def delete_many(self, rows, charge=True):
@@ -277,17 +266,8 @@ class ColumnFamily:
         removed = sum(self._remove(partition, clustering)
                       for partition, clustering in batch)
         if charge and batch:
-            self._metrics.deletes += 1
-            self._metrics.rows_deleted += removed
-            self._metrics.partitions_touched += len(
-                {partition for partition, _ in batch})
-            elapsed = self._latency.delete_time(len(batch))
-            self._metrics.simulated_ms += elapsed
-            recorder = self._recorder()
-            if recorder is not None:
-                recorder.observe_op(self.name, "delete", rows=len(batch),
-                                    row_bytes=self._row_bytes,
-                                    time_ms=elapsed)
+            self._charge_write("delete", len(batch), removed, len(
+                {partition for partition, _ in batch}))
         return removed
 
     # -- introspection ---------------------------------------------------------------
@@ -382,15 +362,16 @@ class Store:
         self.latency = latency or LatencyModel()
         self.metrics = StoreMetrics()
         self.column_families = {}
-        #: optional flight recorder receiving one ``observe_op`` call
-        #: per charged operation (see :mod:`repro.profile`)
+        #: optional recorder receiving one ``observe_op`` call per
+        #: charged get, put and delete, set by its user (see
+        #: :func:`repro.profile.profile_recommendation`); the execution
+        #: engine never sets it
         self.recorder = None
 
     def create(self, index):
         """Create (or return) the column family backing an index."""
         if index.key not in self.column_families:
-            self.column_families[index.key] = ColumnFamily(
-                index, self.latency, self.metrics, store=self)
+            self.column_families[index.key] = ColumnFamily(index, self)
         return self.column_families[index.key]
 
     def drop(self, index):

@@ -89,7 +89,7 @@ def drift_demo(half_life=60.0, requests=400, checkpoint_every=20,
                              structural_threshold=structural_threshold,
                              min_requests=min(requests // 4, 100))
     engine = ExecutionEngine(model, recommendation, dataset,
-                             monitor=monitor)
+                             observers=(monitor,))
     engine.load()
     generator = BindingGenerator(dataset, seed=seed, null_rate=0.0)
 

@@ -76,10 +76,10 @@ class WorkloadMonitor:
     resolve trace events and its weights form the advised distribution
     for drift detection.
 
-    Attach to an engine with ``ExecutionEngine(..., monitor=monitor)``
-    — the engine calls :meth:`observe_execution` from the same
-    ``_observed`` wrapper that feeds the flight recorder — or replay a
-    recorded trace with :meth:`replay_trace`.
+    Attach to an engine as an observer, ``ExecutionEngine(...,
+    observers=(monitor,))``, which calls :meth:`executed` once per
+    statement it runs, or replay a recorded trace with
+    :meth:`replay_trace`.
     """
 
     def __init__(self, workload, half_life=DEFAULT_HALF_LIFE,
@@ -138,7 +138,7 @@ class WorkloadMonitor:
         self.requests += 1
         self.recent.append((round(self.clock, 6), label, digest))
 
-    def observe_execution(self, statement, label, kind, delta):
+    def executed(self, statement, label, kind, delta):
         """Engine-side hook: one statement executed with metric ``delta``.
 
         The logical clock advances one tick per statement; the store's
@@ -146,8 +146,6 @@ class WorkloadMonitor:
         both deterministic, so monitored runs stay byte-stable.
         """
         self.simulated_seconds += delta.get("simulated_ms", 0.0) / 1000.0
-        if statement is None:  # pragma: no cover - defensive
-            return
         self.observe(statement, label=label, kind=kind)
 
     def replay_trace(self, events):

@@ -84,7 +84,8 @@ def profile_recommendation(model, workload, recommendation, dataset,
     engine = ExecutionEngine(model, recommendation, dataset,
                              share_reads=share_reads,
                              update_protocol=protocol,
-                             recorder=recorder)
+                             observers=(recorder,))
+    engine.store.recorder = recorder
     engine.load()
     if requests_factory is not None:
         replay = list(requests_factory(requests, seed))

@@ -15,11 +15,13 @@ engine and captures what actually happened, at two granularities:
   model can be fitted from real replay traffic instead of synthetic
   probes.
 
-The recorder is attached explicitly (``ExecutionEngine(...,
-recorder=...)``), so replays that do not profile pay only a ``None``
-check per operation; the telemetry kill-switch does not apply to an
-explicitly attached recorder.  Single-threaded by design — replays
-drive one engine from one thread.
+The recorder is attached explicitly, as one of the engine's
+observers (``ExecutionEngine(..., observers=(recorder,))``) and as
+the store's ``recorder``, so replays that do not profile pay only an
+empty-tuple check per statement and a ``None`` check per operation;
+the telemetry kill-switch does not apply to an explicitly attached
+recorder.  Single-threaded by design — replays drive one engine from
+one thread.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ class OperationProfile:
 class FlightRecorder:
     """Collects per-statement and per-operation replay measurements.
 
-    Attach by constructing the engine with ``recorder=`` (which also
-    wires the store) or via :meth:`attach`.
+    Attach it as an engine observer for the per-statement records and
+    as ``engine.store.recorder`` for the per-operation ones.
     """
 
     def __init__(self, capture_samples=True, max_samples=MAX_SAMPLES):
@@ -130,15 +132,9 @@ class FlightRecorder:
         self.samples = []
         self.samples_dropped = 0
 
-    def attach(self, engine):
-        """Wire this recorder into an engine and its store."""
-        engine.recorder = self
-        engine.store.recorder = self
-        return engine
-
     # -- engine-side hook ----------------------------------------------------
 
-    def record_statement(self, label, kind, delta):
+    def executed(self, statement, label, kind, delta):
         """One statement executed; ``delta`` is the store-metric delta."""
         profile = self.statements.get(label)
         if profile is None:

@@ -19,7 +19,7 @@ def executed():
     dataset.sync_counts()
     monitor = WorkloadMonitor(workload, half_life=50.0)
     engine = ExecutionEngine(model, recommendation, dataset,
-                             monitor=monitor)
+                             observers=(monitor,))
     engine.load()
     generator = BindingGenerator(dataset, seed=0, null_rate=0.0)
     labels = ["guest_by_id", "guest_by_id", "hotels_by_location"]
@@ -50,7 +50,7 @@ def test_support_queries_not_double_counted():
     dataset.sync_counts()
     monitor = WorkloadMonitor(workload)
     engine = ExecutionEngine(model, recommendation, dataset,
-                             monitor=monitor)
+                             observers=(monitor,))
     engine.load()
     generator = BindingGenerator(dataset, seed=1, null_rate=0.0)
     update = workload.statements["update_poi_description"]

@@ -125,13 +125,13 @@ def test_rolling_log_caps_at_window(workload):
     assert monitor.requests == 10
 
 
-def test_observe_execution_counts_simulated_time(workload):
+def test_executed_counts_simulated_time(workload):
     monitor = WorkloadMonitor(workload)
     statement = workload.statements["guest_by_id"]
-    monitor.observe_execution(statement, "guest_by_id", "query",
-                              {"simulated_ms": 250.0})
-    monitor.observe_execution(statement, "guest_by_id", "query",
-                              {"simulated_ms": 750.0})
+    monitor.executed(statement, "guest_by_id", "query",
+                     {"simulated_ms": 250.0})
+    monitor.executed(statement, "guest_by_id", "query",
+                     {"simulated_ms": 750.0})
     assert monitor.simulated_seconds == pytest.approx(1.0)
     assert monitor.clock == 2.0
     assert monitor.requests == 2

@@ -85,8 +85,8 @@ def _recorded(latencies):
     recorder = FlightRecorder()
     for label, values in latencies.items():
         for value in values:
-            recorder.record_statement(
-                label, "query", _delta(value, gets=1, rows_read=2))
+            recorder.executed(
+                None, label, "query", _delta(value, gets=1, rows_read=2))
     return recorder
 
 
@@ -149,8 +149,8 @@ def test_accuracy_report_empty_recorder():
 
 def test_accuracy_report_aggregates_update_terms():
     recorder = FlightRecorder()
-    recorder.record_statement(
-        "upd", "update", _delta(3.0, puts=1, rows_written=4))
+    recorder.executed(
+        None, "upd", "update", _delta(3.0, puts=1, rows_written=4))
     explain = {"statements": {"upd": {
         "kind": "update", "weight": 1.0, "cost": 2.0,
         "weighted_cost": 2.0,

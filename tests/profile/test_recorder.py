@@ -21,7 +21,8 @@ def replay_setup():
 def _engine(replay_setup, recorder):
     model, _workload, dataset, recommendation = replay_setup
     engine = ExecutionEngine(model, recommendation, dataset,
-                             recorder=recorder)
+                             observers=(recorder,))
+    engine.store.recorder = recorder
     engine.load()
     return engine
 
