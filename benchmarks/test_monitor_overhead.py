@@ -2,22 +2,21 @@
 
 The monitoring policy (DESIGN.md, "Workload monitoring and drift")
 promises that a replay with no monitor attached pays less than 5% for
-the ingestion hooks.  The monitor adds exactly one site to the
-execution path: the ``self.monitor is not None`` test in the two
-dispatch gates (queries and updates), evaluated once per top-level
-statement — when a recorder or telemetry already forced the observed
-path, the only addition is the ``_observed`` wrapper's second
-``is not None`` check before :meth:`WorkloadMonitor.observe_execution`.
+the ingestion hooks.  The monitor is one of the engine's observers, so
+an unmonitored replay pays one site per top-level statement: the
+dispatch check ``self.observers or telemetry.current().enabled`` in
+``execute_query`` and ``execute_update``, which is false over an empty
+observer tuple with telemetry disabled.  When a recorder or telemetry
+already forced the observed path, the monitor adds only its
+:meth:`WorkloadMonitor.executed` call in ``_observed``'s observer loop.
 
 A wall-clock A/B is too noisy to enforce 5% on a shared box, so —
 exactly like ``test_profile_overhead.py`` — the guard bounds the cost
 analytically: count the statement dispatches in one replay, measure
 the disabled check in a tight loop, and assert sites x per-check cost
 stays under 5% of the median unmonitored replay wall time.  The
-estimate is conservative: every statement is charged the full extended
-dispatch price even though short-circuiting skips the monitor test
-whenever a recorder is attached.  Writes ``BENCH_monitor.json`` at the
-repo root.
+estimate is conservative: every statement is charged the full
+dispatch price.  Writes ``BENCH_monitor.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -51,8 +50,9 @@ def _replay(model, workload, recommendation, monitor=None):
     """One full replay; returns (monitor requests seen, wall seconds)."""
     dataset = hotel_dataset(model, seed=42)
     dataset.sync_counts()
+    observers = () if monitor is None else (monitor,)
     engine = ExecutionEngine(model, recommendation, dataset,
-                             monitor=monitor)
+                             observers=observers)
     engine.load()
     generator = BindingGenerator(dataset, seed=9, null_rate=0.0)
     replay = [(label, generator.bindings_for(
@@ -68,14 +68,13 @@ def _null_dispatch_check_seconds():
     """Per-statement cost of the disabled monitor dispatch test.
 
     The exact expression the gates evaluate when nothing observes the
-    replay: ``recorder is not None or monitor is not None or
-    telemetry.current().enabled``.
+    replay: ``observers or telemetry.current().enabled`` over an empty
+    observer tuple.
     """
-    recorder = monitor = None
+    observers = ()
     started = time.perf_counter()
     for _ in range(NULL_LOOP):
-        if recorder is not None or monitor is not None \
-                or telemetry.current().enabled:
+        if observers or telemetry.current().enabled:
             raise AssertionError
     return (time.perf_counter() - started) / NULL_LOOP
 

@@ -6,14 +6,16 @@ than 5% for the observation hooks.  A direct wall-clock A/B is too
 noisy to enforce 5% on a shared box, so the guard bounds the overhead
 analytically, the same way ``test_telemetry_overhead.py`` does:
 
-1. replay the hotel workload once *with* a recorder attached and count
-   the hook sites that fired — one per statement (the ``_observed``
-   dispatch check plus the store-metric snapshots it skips when idle)
-   and one per charged store operation (the ``store.recorder``
-   attribute read);
-2. measure the per-site cost of the *disabled* hooks — the
-   ``recorder is None`` / ``telemetry.current().enabled`` dispatch
-   check and the null recorder-attribute read — in a tight loop;
+1. replay the hotel workload once *with* a recorder attached, as the
+   engine's one observer and as ``engine.store.recorder``, and count
+   the hook sites that fired — one per statement (the dispatch check
+   ``self.observers or telemetry.current().enabled`` in
+   ``execute_query``/``execute_update``, which skips ``_observed`` and
+   its store-metric snapshots when idle) and one per charged store
+   operation (the ``store.recorder`` attribute read);
+2. measure the per-site cost of the *disabled* hooks — that dispatch
+   check over an empty observer tuple and the null recorder-attribute
+   read — in a tight loop;
 3. assert that site-count x null-hook cost stays under 5% of the
    median unprofiled replay wall time.
 
@@ -51,8 +53,10 @@ def _replay(model, workload, recommendation, recorder=None):
     """One full replay; returns (engine, wall seconds)."""
     dataset = hotel_dataset(model, seed=42)
     dataset.sync_counts()
+    observers = () if recorder is None else (recorder,)
     engine = ExecutionEngine(model, recommendation, dataset,
-                             recorder=recorder)
+                             observers=observers)
+    engine.store.recorder = recorder
     engine.load()
     generator = BindingGenerator(dataset, seed=9, null_rate=0.0)
     replay = [(label, generator.bindings_for(
@@ -66,10 +70,10 @@ def _replay(model, workload, recommendation, recorder=None):
 
 def _null_statement_hook_seconds():
     """Per-statement cost of the disabled dispatch check."""
-    recorder = None
+    observers = ()
     started = time.perf_counter()
     for _ in range(NULL_LOOP):
-        if recorder is not None or telemetry.current().enabled:
+        if observers or telemetry.current().enabled:
             raise AssertionError
     return (time.perf_counter() - started) / NULL_LOOP
 
