@@ -37,6 +37,7 @@ cardinalities are optional (class defaults / entity count apply).
 from __future__ import annotations
 
 import json
+import math
 
 from repro.exceptions import ModelError, NoseError, ParseError
 from repro.model import (
@@ -123,8 +124,9 @@ def model_from_dict(document):
     """Rebuild a conceptual model from the document format.
 
     A value the model constructors reject (an empty name, a count below
-    1) raises a :class:`ModelError` naming its document path, e.g.
-    ``model.entities[0].count``.
+    1), and a statistic they would take on trust (a NaN count, a
+    negative fanout), raises a :class:`ModelError` naming its document
+    path, e.g. ``model.entities[0].count``.
     """
     try:
         model = Model(document.get("name", "model"))
@@ -132,8 +134,9 @@ def model_from_dict(document):
             where = f"model.entities[{number}]"
             # Entity checks its name before its count
             checked = "count" if _is_name(spec["name"]) else "name"
+            count = _number(f"{where}.count", spec.get("count", 1))
             entity = _built(f"{where}.{checked}", Entity, spec["name"],
-                            count=spec.get("count", 1))
+                            count=count)
             if spec.get("id"):
                 entity.add_field(_built(f"{where}.id", IDField, spec["id"]))
             for slot, field_spec in enumerate(spec.get("fields", [])):
@@ -142,24 +145,26 @@ def model_from_dict(document):
                 if field_type is None:
                     raise ModelError(
                         f"unknown field type {field_spec.get('type')!r}")
-                kwargs = {}
-                if "size" in field_spec:
-                    kwargs["size"] = field_spec["size"]
-                if "cardinality" in field_spec:
-                    kwargs["cardinality"] = field_spec["cardinality"]
+                kwargs = {key: _number(f"{where}.fields[{slot}].{key}",
+                                       field_spec[key], lowest)
+                          for key, lowest in (("size", 0),
+                                              ("cardinality", 1))
+                          if field_spec.get(key) is not None}
                 entity.add_field(_built(
                     f"{where}.fields[{slot}].name", field_type,
                     field_spec["name"], **kwargs))
             model.add_entity(entity)
         for number, spec in enumerate(document.get("relationships", [])):
+            where = f"model.relationships[{number}]"
+            fanouts = {key: _number(f"{where}.{key}", spec[key], 0)
+                       for key in ("forward_fanout", "reverse_fanout")
+                       if spec.get(key) is not None}
             # the forward edge is built before the reverse one
             side = "reverse" if _is_name(spec["forward"]) else "forward"
-            _built(f"model.relationships[{number}].{side}",
-                   model.add_relationship,
+            _built(f"{where}.{side}", model.add_relationship,
                    spec["from"], spec["forward"], spec["to"],
                    spec["reverse"], kind=spec.get("kind", "one_to_many"),
-                   forward_fanout=spec.get("forward_fanout"),
-                   reverse_fanout=spec.get("reverse_fanout"),
+                   **fanouts,
                    forward_total=spec.get("forward_total", True),
                    reverse_total=spec.get("reverse_total", True))
         return model.validate()
@@ -171,6 +176,21 @@ def model_from_dict(document):
 def _is_name(value):
     """The model constructors' test of an entity or field name."""
     return bool(value) and isinstance(value, str)
+
+
+def _number(where, value, lowest=None):
+    """``value`` when it is a finite number (of at least ``lowest``);
+    otherwise a :class:`ModelError` naming the document path ``where``.
+
+    The model constructors take statistics on trust, and a NaN passes
+    every comparison they make."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)
+            or lowest is not None and value < lowest):
+        bound = "" if lowest is None else f" of at least {lowest}"
+        key = where.rsplit(".", 1)[-1]
+        raise ModelError(f"{where}: {key} must be a finite number{bound}")
+    return value
 
 
 def _built(where, build, *args, **kwargs):

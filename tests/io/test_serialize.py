@@ -1,6 +1,7 @@
 """Tests for JSON (de)serialization of models and workloads."""
 
 import json
+import math
 import re
 
 import pytest
@@ -183,6 +184,30 @@ def test_load_application_errors_name_the_path(tmp_path, text, error,
      "field name must be a non-empty string"),
     ("model.relationships[0].reverse", None,
      "field name must be a non-empty string"),
+    ("model.entities[0].count", math.nan,
+     "count must be a finite number"),
+    ("model.entities[0].count", math.inf,
+     "count must be a finite number"),
+    ("model.entities[1].fields[0].cardinality", math.nan,
+     "cardinality must be a finite number of at least 1"),
+    ("model.entities[1].fields[0].cardinality", math.inf,
+     "cardinality must be a finite number of at least 1"),
+    ("model.entities[1].fields[0].cardinality", 0.5,
+     "cardinality must be a finite number of at least 1"),
+    ("model.entities[1].fields[0].size", math.nan,
+     "size must be a finite number of at least 0"),
+    ("model.entities[1].fields[0].size", math.inf,
+     "size must be a finite number of at least 0"),
+    ("model.entities[1].fields[0].size", -1,
+     "size must be a finite number of at least 0"),
+    ("model.relationships[0].forward_fanout", math.nan,
+     "forward_fanout must be a finite number of at least 0"),
+    ("model.relationships[0].forward_fanout", -math.inf,
+     "forward_fanout must be a finite number of at least 0"),
+    ("model.relationships[0].reverse_fanout", math.inf,
+     "reverse_fanout must be a finite number of at least 0"),
+    ("model.relationships[0].reverse_fanout", -0.5,
+     "reverse_fanout must be a finite number of at least 0"),
 ])
 def test_rejected_model_values_name_their_document_path(tmp_path, where,
                                                         value, message):
